@@ -88,8 +88,8 @@ template <class Ts, class Cmp>
 /// counter fields are deterministic given the call counts; elapsed time and
 /// the per-thread split are genuinely nondeterministic (the OS schedules).
 struct NativeRunStats {
-  int threads = 0;               ///< workers actually spawned
-  double elapsed_seconds = 0.0;  ///< spawn-to-join wall time
+  int threads = 0;               ///< workers, the calling thread included
+  double elapsed_seconds = 0.0;  ///< first spawn to last program's end
   std::uint64_t ops = 0;         ///< register operations executed
   std::uint64_t calls = 0;       ///< completed getTS calls
   std::vector<std::uint64_t> per_thread_calls;   ///< calls by worker index

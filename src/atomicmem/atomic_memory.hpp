@@ -13,6 +13,16 @@
 //    heap node. Writers allocate a node, exchange it in, and push the old
 //    node onto a Treiber retirement stack.
 //
+// Layout. The registers are the only shared state of the paper's model, so
+// nothing else a register op touches may be shared between threads. One
+// heap block holds the reclaim counters and then every cell, each in its own
+// 128-byte line pair (kLinePair): different writers' cells never share the
+// pair that the adjacent-line prefetcher moves together, and the counters
+// that node-cell writers bump stay off the pair of the read-only cell-array
+// pointer. The block is a plain byte allocation aligned by hand, not an
+// over-aligned new. DirectCtx adds a per-process op counter and nothing
+// shared: only stamp() touches the one shared event clock, twice per call.
+//
 // Reclamation. Retired nodes used to be freed only at destruction, so long
 // native runs grew memory with write count. They are now reclaimed by a
 // global epoch domain (detail::EpochDomain): readers pin the current epoch
@@ -26,10 +36,13 @@
 
 #include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <new>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "runtime/coro.hpp"
@@ -38,11 +51,28 @@
 
 namespace stamped::atomicmem {
 
+/// Bytes of one adjacent-line prefetch pair. Intel's spatial prefetcher
+/// moves 64-byte lines in aligned pairs, so two threads writing words 64
+/// bytes apart still contend: a word that one thread writes on the hot path
+/// gets a whole pair to itself.
+inline constexpr std::size_t kLinePair = 128;
+
 namespace detail {
 
 template <class V>
 inline constexpr bool kInlineAtomic =
     std::is_trivially_copyable_v<V> && sizeof(V) <= 8;
+
+/// A T alone on its line pair. Constructed only by placement new into
+/// storage aligned by hand (AtomicMemory's block), never by an aligned
+/// operator new.
+template <class T>
+struct alignas(kLinePair) LinePairSlot {
+  template <class... Args>
+  explicit LinePairSlot(Args&&... args) : value(std::forward<Args>(args)...) {}
+
+  T value;
+};
 
 /// Process-wide epoch domain for node-cell reclamation, shared by every
 /// AtomicMemory instance (epochs are per-thread facts, not per-memory ones).
@@ -391,22 +421,45 @@ class AtomicMemory {
   /// in the worst case — retirees of the current epoch survive one round).
   static constexpr std::uint64_t kTrimThreshold = 512;
 
-  AtomicMemory(int num_registers, const V& initial) {
+  AtomicMemory(int num_registers, const V& initial)
+      : num_registers_(num_registers) {
     STAMPED_ASSERT(num_registers > 0);
-    cells_.reserve(static_cast<std::size_t>(num_registers));
-    for (int i = 0; i < num_registers; ++i) {
-      if constexpr (detail::kInlineAtomic<V>) {
-        cells_.push_back(std::make_unique<detail::AtomicCell<V>>(initial));
-      } else {
-        cells_.push_back(
-            std::make_unique<detail::AtomicCell<V>>(initial, &counters_));
+    // One plain allocation, over-sized by a pair and aligned by hand: an
+    // over-aligned new would go through glibc's memalign path, which
+    // bypasses the thread cache and slows every build of a memory.
+    const std::size_t bytes =
+        sizeof(CounterSlot) +
+        static_cast<std::size_t>(num_registers) * sizeof(CellSlot);
+    std::size_t space = bytes + kLinePair - 1;
+    block_ = std::make_unique_for_overwrite<std::byte[]>(space);
+    void* base = block_.get();
+    (void)std::align(kLinePair, bytes, base, space);  // the slack suffices
+    counters_ = &(new (base) CounterSlot())->value;
+    cells_ = reinterpret_cast<CellSlot*>(static_cast<std::byte*>(base) +
+                                         sizeof(CounterSlot));
+    int built = 0;
+    try {
+      for (; built < num_registers; ++built) {
+        if constexpr (detail::kInlineAtomic<V>) {
+          new (&cells_[built]) CellSlot(initial);
+        } else {
+          new (&cells_[built]) CellSlot(initial, counters_);
+        }
       }
+    } catch (...) {
+      std::destroy_n(cells_, built);
+      throw;
     }
   }
 
-  [[nodiscard]] int num_registers() const {
-    return static_cast<int>(cells_.size());
-  }
+  // The counters are trivially destructible and outlive the cells, whose
+  // destructors update them.
+  ~AtomicMemory() { std::destroy_n(cells_, num_registers_); }
+
+  AtomicMemory(const AtomicMemory&) = delete;
+  AtomicMemory& operator=(const AtomicMemory&) = delete;
+
+  [[nodiscard]] int num_registers() const { return num_registers_; }
 
   // Only the dereferencing accesses pin: loads follow the current-node
   // pointer of node cells, so the node must outlive the copy-out. Writers
@@ -448,8 +501,8 @@ class AtomicMemory {
     if constexpr (detail::kInlineAtomic<V>) {
       return 0;
     } else {
-      return counters_.retired.load(std::memory_order_relaxed) -
-             counters_.reclaimed.load(std::memory_order_relaxed);
+      return counters_->retired.load(std::memory_order_relaxed) -
+             counters_->reclaimed.load(std::memory_order_relaxed);
     }
   }
 
@@ -460,8 +513,8 @@ class AtomicMemory {
       return 0;
     } else {
       const std::uint64_t live =
-          counters_.allocated.load(std::memory_order_relaxed) -
-          counters_.reclaimed.load(std::memory_order_relaxed);
+          counters_->allocated.load(std::memory_order_relaxed) -
+          counters_->reclaimed.load(std::memory_order_relaxed);
       return live * sizeof(typename detail::AtomicCell<V>::Node);
     }
   }
@@ -471,18 +524,31 @@ class AtomicMemory {
   /// backend calls this after joining its workers.
   void quiesce() {
     if constexpr (!detail::kInlineAtomic<V>) {
-      for (auto& c : cells_) {
-        c->reclaim(c->drain_retired(), detail::EpochDomain::kNoPins);
+      for (int i = 0; i < num_registers_; ++i) {
+        Cell& c = cells_[i].value;
+        c.reclaim(c.drain_retired(), detail::EpochDomain::kNoPins);
       }
     }
   }
 
  private:
+  using Cell = detail::AtomicCell<V>;
+  using CellSlot = detail::LinePairSlot<Cell>;
+  using CounterSlot = detail::LinePairSlot<detail::ReclaimCounters>;
+  // Layout guard: each slot must cover whole line pairs, so that no later
+  // field can put two writers' words back on one pair unnoticed.
+  static_assert(sizeof(CellSlot) % kLinePair == 0 &&
+                    alignof(CellSlot) % kLinePair == 0,
+                "a register cell must own its line pair");
+  static_assert(sizeof(CounterSlot) % kLinePair == 0 &&
+                    alignof(CounterSlot) % kLinePair == 0,
+                "the reclaim counters must own their line pair");
+
   void maybe_trim() {
     if constexpr (!detail::kInlineAtomic<V>) {
       const std::uint64_t outstanding =
-          counters_.retired.load(std::memory_order_relaxed) -
-          counters_.reclaimed.load(std::memory_order_relaxed);
+          counters_->retired.load(std::memory_order_relaxed) -
+          counters_->reclaimed.load(std::memory_order_relaxed);
       if (outstanding >= kTrimThreshold) trim_retired();
     }
   }
@@ -495,33 +561,40 @@ class AtomicMemory {
     if constexpr (!detail::kInlineAtomic<V>) {
       auto& dom = detail::EpochDomain::instance();
       dom.try_advance();
-      std::vector<typename detail::AtomicCell<V>::Node*> drained;
-      drained.reserve(cells_.size());
-      for (auto& c : cells_) drained.push_back(c->drain_retired());
+      std::vector<typename Cell::Node*> drained;
+      drained.reserve(static_cast<std::size_t>(num_registers_));
+      for (int i = 0; i < num_registers_; ++i) {
+        drained.push_back(cells_[i].value.drain_retired());
+      }
       const std::uint64_t min = dom.min_pinned();
-      for (std::size_t i = 0; i < cells_.size(); ++i) {
-        cells_[i]->reclaim(drained[i], min);
+      for (int i = 0; i < num_registers_; ++i) {
+        cells_[i].value.reclaim(drained[static_cast<std::size_t>(i)], min);
       }
     }
   }
 
-  detail::AtomicCell<V>& cell(int reg) {
-    STAMPED_ASSERT(reg >= 0 && reg < num_registers());
-    return *cells_[static_cast<std::size_t>(reg)];
+  Cell& cell(int reg) {
+    STAMPED_ASSERT(reg >= 0 && reg < num_registers_);
+    return cells_[reg].value;
   }
-  const detail::AtomicCell<V>& cell(int reg) const {
-    STAMPED_ASSERT(reg >= 0 && reg < num_registers());
-    return *cells_[static_cast<std::size_t>(reg)];
+  const Cell& cell(int reg) const {
+    STAMPED_ASSERT(reg >= 0 && reg < num_registers_);
+    return cells_[reg].value;
   }
 
-  // counters_ precedes cells_: cell destructors update the counters, so the
-  // counters must be destroyed after the cells.
-  detail::ReclaimCounters counters_;
-  std::vector<std::unique_ptr<detail::AtomicCell<V>>> cells_;
+  // Read-only after construction; what the hot path writes lives in block_.
+  int num_registers_;
+  std::unique_ptr<std::byte[]> block_;
+  detail::ReclaimCounters* counters_ = nullptr;  ///< block_'s first pair
+  CellSlot* cells_ = nullptr;                    ///< one pair per register
 };
 
 /// Memory context for real threads: same interface as runtime::SimCtx, but
-/// every awaiter is immediately ready, so coroutines never suspend.
+/// every awaiter is immediately ready, so coroutines never suspend. A
+/// register op touches its register and this ctx's own counters, nothing
+/// else shared; the shared clock is reached only through stamp().
+/// NativeSystem builds one per process, on the stack of the worker that
+/// runs it.
 template <class V>
 class DirectCtx {
  public:
@@ -576,12 +649,18 @@ class DirectCtx {
     return {mem_->fetch_add(reg, addend)};
   }
 
+  /// Invocation/response event stamp, unique and totally ordered across
+  /// threads: the one order a recorded history needs to be checkable.
   std::uint64_t stamp() {
     return clock_->fetch_add(1, std::memory_order_seq_cst) + 1;
   }
+  /// Events stamped so far. Register ops do not tick the clock, so unlike
+  /// SimCtx::steps_now this is no global step count; a native scan's
+  /// linearize_step carries it, and nothing on this backend orders by it.
   [[nodiscard]] std::uint64_t steps_now() const {
-    return clock_->load(std::memory_order_acquire);
+    return clock_->load(std::memory_order_relaxed);
   }
+  /// Register ops this process performed.
   [[nodiscard]] std::uint64_t my_steps() const { return ops_; }
   void note_call_complete() { ++calls_; }
   [[nodiscard]] std::uint64_t calls_completed() const { return calls_; }
@@ -596,7 +675,6 @@ class DirectCtx {
  private:
   void bump() {
     ++ops_;
-    clock_->fetch_add(1, std::memory_order_seq_cst);
     if (hook_ != nullptr && *hook_) (*hook_)(pid_, ops_);
   }
 

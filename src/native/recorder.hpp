@@ -4,7 +4,7 @@
 // deterministic scheduler stepping one coroutine at a time, but a
 // serialization point that would poison a native throughput measurement (and
 // perturb the very interleavings the run exists to produce). Here each
-// worker appends to its own arena: a chain of fixed-size blocks touched by
+// worker appends to its own arena: a chain of growing blocks touched by
 // exactly one thread, so the hot path is a bump-pointer store with no shared
 // state at all. The shared completion clock (DirectCtx::stamp, one atomic
 // fetch_add) is the only cross-thread traffic per call, and it is the same
@@ -12,14 +12,14 @@
 // ordered across threads, which is what lets the merge sort records into the
 // real-time order the checkers need.
 //
-// merged() runs at quiesce, after the worker pool has been joined: plain
-// reads of per-thread arenas with no concurrent writers (the join is the
-// synchronization), then one stable sort by completion stamp. Nothing in the
+// merged() runs at quiesce, after every program has finished: plain reads
+// of per-thread arenas with no concurrent writers (NativeSystem::run's
+// acquire of the last program's completion count is the synchronization),
+// then one stable sort by completion stamp. Nothing in the
 // recorder blocks, spins, or retries at any point.
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -33,52 +33,65 @@ namespace stamped::native {
 /// Single-writer append-only arena of completed-call records. Blocks are
 /// heap-allocated on demand and never moved, so earlier records stay valid
 /// while later ones are appended (no vector reallocation on the hot path).
+/// Block capacities double from kFirstBlockRecords up to kMaxBlockRecords:
+/// a process that makes one call (every process of a one-shot run) costs
+/// one record's worth of heap, not a full block, while a long-lived process
+/// soon appends into full-size blocks.
 template <class Ts>
 class CallArena {
  public:
-  static constexpr std::size_t kBlockRecords = 256;
+  using Record = runtime::CallRecord<Ts>;
+
+  static constexpr std::size_t kFirstBlockRecords = 1;
+  static constexpr std::size_t kMaxBlockRecords = 256;
 
   CallArena() = default;
   CallArena(const CallArena&) = delete;
   CallArena& operator=(const CallArena&) = delete;
 
   /// Hot path; caller is the arena's one writer thread.
-  void record(runtime::CallRecord<Ts> rec) {
+  void record(Record rec) {
     STAMPED_ASSERT_MSG(rec.invoked_at < rec.responded_at,
                        "call must span at least one event");
-    if (blocks_.empty() || blocks_.back()->used == kBlockRecords) {
-      blocks_.push_back(std::make_unique<Block>());
-    }
-    Block& b = *blocks_.back();
-    b.records[b.used++] = std::move(rec);
+    if (used_ == capacity_) grow();
+    blocks_.back()[used_++] = std::move(rec);
   }
 
-  [[nodiscard]] std::size_t size() const {
-    if (blocks_.empty()) return 0;
-    return (blocks_.size() - 1) * kBlockRecords + blocks_.back()->used;
-  }
+  [[nodiscard]] std::size_t size() const { return sealed_ + used_; }
 
   [[nodiscard]] std::size_t bytes() const {
-    return blocks_.size() * sizeof(Block);
+    return (sealed_ + capacity_) * sizeof(Record);
   }
 
-  void append_to(std::vector<runtime::CallRecord<Ts>>& out) const {
-    for (const auto& b : blocks_) {
-      for (std::size_t i = 0; i < b->used; ++i) out.push_back(b->records[i]);
+  void append_to(std::vector<Record>& out) const {
+    std::size_t capacity = kFirstBlockRecords;
+    for (std::size_t b = 0; b < blocks_.size(); ++b) {
+      const std::size_t n = b + 1 == blocks_.size() ? used_ : capacity;
+      out.insert(out.end(), blocks_[b].get(), blocks_[b].get() + n);
+      capacity = next_capacity(capacity);
     }
   }
 
  private:
-  struct Block {
-    std::array<runtime::CallRecord<Ts>, kBlockRecords> records{};
-    std::size_t used = 0;
-  };
+  static constexpr std::size_t next_capacity(std::size_t capacity) {
+    return std::min(2 * capacity, kMaxBlockRecords);
+  }
 
-  std::vector<std::unique_ptr<Block>> blocks_;
+  void grow() {
+    sealed_ += used_;
+    capacity_ = blocks_.empty() ? kFirstBlockRecords : next_capacity(capacity_);
+    blocks_.push_back(std::make_unique<Record[]>(capacity_));
+    used_ = 0;
+  }
+
+  std::vector<std::unique_ptr<Record[]>> blocks_;
+  std::size_t capacity_ = 0;  ///< of the last block
+  std::size_t used_ = 0;      ///< records in the last block
+  std::size_t sealed_ = 0;    ///< records in the full blocks before it
 };
 
 /// One arena per process. Workers write only their own processes' arenas;
-/// the merge runs after the pool joins (see file comment).
+/// the merge runs after every program has finished (see file comment).
 template <class Ts>
 class HistoryRecorder {
  public:

@@ -53,7 +53,8 @@
 //   - inner arena (s, c), batched epoch-grant engines and unbatched mode:
 //     written only by client c itself.
 // Histories are harvested after the run completes (sim: single-threaded;
-// native: after the pool joins), the same post-hoc discipline as PR 8.
+// native: after every program has finished), the same post-hoc discipline
+// as the plain native backend.
 #pragma once
 
 #include <algorithm>

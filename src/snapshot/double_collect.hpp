@@ -23,9 +23,12 @@ struct ScanResult {
   std::vector<V> view;
   /// Number of collects performed (>= 2).
   std::uint64_t collects = 0;
-  /// Global step count at the start of the final collect. The scan can be
-  /// linearized at any point between the last two collects; this value is a
-  /// canonical choice used by the phase analysis of Algorithm 4.
+  /// ctx.steps_now() at the start of the final collect. The scan can be
+  /// linearized at any point between the last two collects; on the
+  /// simulator, where steps_now() is the global step count, this value is a
+  /// canonical choice used by the phase analysis of Algorithm 4. On the
+  /// native backend steps_now() counts stamped events only (register ops do
+  /// not tick the clock), so the value orders nothing there.
   std::uint64_t linearize_step = 0;
   /// Per-register write-versions of the returned view. Filled by the
   /// version-clock scan (snapshot/versioned_collect.hpp); empty for the

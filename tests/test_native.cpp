@@ -3,14 +3,18 @@
 // native histories with the same property checkers as simulated runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/harness.hpp"
 #include "api/registry.hpp"
 #include "core/maxscan_longlived.hpp"
+#include "core/sqrt_oneshot.hpp"
 #include "core/timestamp.hpp"
 #include "native/native_instance.hpp"
 #include "native/native_system.hpp"
@@ -26,7 +30,8 @@ using native::NativeSystem;
 
 TEST(Recorder, ArenaCrossesBlockBoundaries) {
   CallArena<std::int64_t> arena;
-  const std::size_t total = 3 * CallArena<std::int64_t>::kBlockRecords + 17;
+  const std::size_t total =
+      3 * CallArena<std::int64_t>::kMaxBlockRecords + 17;
   for (std::size_t k = 0; k < total; ++k) {
     arena.record({0, static_cast<int>(k), static_cast<std::int64_t>(k),
                   2 * k + 1, 2 * k + 2});
@@ -40,6 +45,28 @@ TEST(Recorder, ArenaCrossesBlockBoundaries) {
   for (std::size_t k = 0; k < total; ++k) {
     EXPECT_EQ(out[k].ts, static_cast<std::int64_t>(k));
   }
+}
+
+TEST(Recorder, BlocksGrowFromOneRecord) {
+  // A one-call process (every process of a one-shot run) costs one record;
+  // capacities double from there, so a long arena wastes at most one
+  // full-size block.
+  using Record = CallArena<std::int64_t>::Record;
+  CallArena<std::int64_t> arena;
+  EXPECT_EQ(arena.bytes(), 0u);
+  arena.record({0, 0, 0, 1, 2});
+  EXPECT_EQ(arena.bytes(), sizeof(Record));
+  arena.record({0, 1, 1, 3, 4});
+  arena.record({0, 2, 2, 5, 6});
+  EXPECT_EQ(arena.bytes(), 3 * sizeof(Record));  // blocks of 1 and 2
+  for (std::uint64_t k = 3; k < 10000; ++k) {
+    arena.record({0, static_cast<int>(k), static_cast<std::int64_t>(k),
+                  2 * k + 1, 2 * k + 2});
+  }
+  EXPECT_EQ(arena.size(), 10000u);
+  EXPECT_LT(arena.bytes(), (arena.size() + CallArena<std::int64_t>::
+                                               kMaxBlockRecords) *
+                               sizeof(Record));
 }
 
 TEST(Recorder, MergeSortsByCompletionStamp) {
@@ -92,6 +119,70 @@ TEST(NativeSystem, FewerThreadsThanProcesses) {
   EXPECT_EQ(rec.size(), static_cast<std::size_t>(n) * calls);
 }
 
+/// Every invocation and response stamp of `calls`, sorted.
+template <class Ts>
+std::vector<std::uint64_t> sorted_stamps(
+    const std::vector<runtime::CallRecord<Ts>>& calls) {
+  std::vector<std::uint64_t> stamps;
+  for (const auto& c : calls) {
+    stamps.push_back(c.invoked_at);
+    stamps.push_back(c.responded_at);
+  }
+  std::sort(stamps.begin(), stamps.end());
+  return stamps;
+}
+
+/// 1, 2, ..., 2 * calls: one invocation and one response stamp per call.
+std::vector<std::uint64_t> call_events(std::size_t calls) {
+  std::vector<std::uint64_t> events(2 * calls);
+  std::iota(events.begin(), events.end(), std::uint64_t{1});
+  return events;
+}
+
+TEST(NativeSystem, StampsAreExactlyTheCallEventsOnMaxScan) {
+  // Register ops never tick the shared clock, so C calls draw exactly the
+  // stamps 1..2C. A per-op tick would leave gaps of n + 1 per call.
+  const int n = 4;
+  const int calls = 500;
+  HistoryRecorder<std::int64_t> rec(n);
+  std::vector<NativeSystem<std::int64_t>::Program> programs;
+  for (int p = 0; p < n; ++p) {
+    auto* arena = &rec.arena(p);
+    programs.push_back(
+        [p, n, calls, arena](atomicmem::DirectCtx<std::int64_t>& ctx) {
+          return core::maxscan_program(ctx, p, n, calls, arena);
+        });
+  }
+  NativeSystem<std::int64_t> sys(n, 0, std::move(programs));
+  const auto stats = sys.run(n);
+  const std::size_t total = static_cast<std::size_t>(n) * calls;
+  EXPECT_EQ(stats.calls, total);
+  EXPECT_EQ(sorted_stamps(rec.merged()), call_events(total));
+}
+
+TEST(NativeSystem, StampsAreExactlyTheCallEventsOnSqrtOneShot) {
+  // Algorithm 4 on node cells, with scans: the stamps are still exactly the
+  // 2 per call, however many register ops each call made.
+  const int n = 64;
+  const int m = core::sqrt_oneshot_registers(n);
+  HistoryRecorder<core::PairTimestamp> rec(n);
+  std::vector<NativeSystem<core::TsRecord>::Program> programs;
+  for (int p = 0; p < n; ++p) {
+    auto* arena = &rec.arena(p);
+    programs.push_back(
+        [p, m, arena](atomicmem::DirectCtx<core::TsRecord>& ctx) {
+          return core::sqrt_getts_program(ctx, core::TsId{p, 0}, m, arena,
+                                          nullptr);
+        });
+  }
+  NativeSystem<core::TsRecord> sys(m, core::TsRecord::bottom(),
+                                   std::move(programs));
+  const auto stats = sys.run(4);
+  EXPECT_EQ(stats.calls, static_cast<std::uint64_t>(n));
+  EXPECT_EQ(sorted_stamps(rec.merged()),
+            call_events(static_cast<std::size_t>(n)));
+}
+
 TEST(NativeSystem, RateMathStaysFiniteOnDegenerateRuns) {
   // A one-program one-call run can finish inside a steady_clock tick;
   // elapsed_seconds is clamped so ops/sec never goes inf or garbage.
@@ -115,6 +206,84 @@ TEST(NativeSystem, RateMathStaysFiniteOnDegenerateRuns) {
   EXPECT_TRUE(std::isfinite(zero.ops_per_sec()));
   EXPECT_TRUE(std::isfinite(zero.calls_per_sec()));
   EXPECT_DOUBLE_EQ(zero.ops_per_sec(), 1000.0 / native::kMinElapsedSeconds);
+}
+
+TEST(NativeSystem, CallingThreadIsWorkerZero) {
+  // One worker spawns nothing: every program runs on the calling thread.
+  const int n = 3;
+  const int calls = 2;
+  std::vector<std::thread::id> ran_on(n);
+  std::vector<NativeSystem<std::int64_t>::Program> programs;
+  for (int p = 0; p < n; ++p) {
+    programs.push_back(
+        [p, n, calls, &ran_on](atomicmem::DirectCtx<std::int64_t>& ctx) {
+          ran_on[static_cast<std::size_t>(p)] = std::this_thread::get_id();
+          return core::maxscan_program(
+              ctx, p, n, calls,
+              static_cast<runtime::CallLog<std::int64_t>*>(nullptr));
+        });
+  }
+  NativeSystem<std::int64_t> sys(n, 0, std::move(programs));
+  const auto stats = sys.run(1);
+  EXPECT_EQ(stats.threads, 1);
+  for (const std::thread::id id : ran_on) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
+  EXPECT_EQ(stats.per_thread_calls,
+            std::vector<std::uint64_t>{static_cast<std::uint64_t>(n) * calls});
+}
+
+TEST(NativeSystem, ManyShortRunsAccountForEveryCall) {
+  // Short runs on more workers than a spawned thread needs to come up:
+  // run() returns once every program finished, and a worker that arrives
+  // after the last claim must neither run a program twice nor touch the
+  // finished system (TSan checks the second part in CI).
+  const int n = 16;
+  for (int round = 0; round < 100; ++round) {
+    HistoryRecorder<std::int64_t> rec(n);
+    std::vector<NativeSystem<std::int64_t>::Program> programs;
+    for (int p = 0; p < n; ++p) {
+      auto* arena = &rec.arena(p);
+      programs.push_back(
+          [p, n, arena](atomicmem::DirectCtx<std::int64_t>& ctx) {
+            return core::maxscan_program(ctx, p, n, 1, arena);
+          });
+    }
+    NativeSystem<std::int64_t> sys(n, 0, std::move(programs));
+    const auto stats = sys.run(8);
+    ASSERT_EQ(stats.calls, static_cast<std::uint64_t>(n)) << "round " << round;
+    ASSERT_EQ(stats.per_thread_calls.size(), 8u);
+    ASSERT_EQ(std::accumulate(stats.per_thread_calls.begin(),
+                              stats.per_thread_calls.end(), std::uint64_t{0}),
+              stats.calls);
+    ASSERT_EQ(rec.per_arena_counts(),
+              std::vector<std::uint64_t>(static_cast<std::size_t>(n), 1));
+  }
+}
+
+runtime::ProcessTask failing_program(atomicmem::DirectCtx<std::int64_t>& ctx) {
+  (void)co_await ctx.read(0);
+  throw std::runtime_error("program failed");
+}
+
+TEST(NativeSystem, ProgramExceptionPropagatesAfterEveryProgramFinishes) {
+  // The failing program's worker goes on claiming, and run() rethrows only
+  // once every other program has finished (they refer to its frame).
+  const int n = 6;
+  const int calls = 50;
+  HistoryRecorder<std::int64_t> rec(n);
+  std::vector<NativeSystem<std::int64_t>::Program> programs;
+  for (int p = 0; p < n; ++p) {
+    auto* arena = &rec.arena(p);
+    programs.push_back(
+        [p, n, calls, arena](atomicmem::DirectCtx<std::int64_t>& ctx) {
+          return p == 2 ? failing_program(ctx)
+                        : core::maxscan_program(ctx, p, n, calls, arena);
+        });
+  }
+  NativeSystem<std::int64_t> sys(n, 0, std::move(programs));
+  EXPECT_THROW((void)sys.run(3), std::runtime_error);
+  EXPECT_EQ(rec.size(), static_cast<std::size_t>(n - 1) * calls);
 }
 
 TEST(NativeSystem, RunIsSingleUse) {
