@@ -1,33 +1,23 @@
-// T13 — Sharded timestamp service: composition correctness and the
-// flat-combining payoff.
+// T13 — Sharded timestamp service: composition correctness and native
+// throughput.
 //
 // The sharded service (src/shard/) routes clients across independent family
-// instances and amortizes concurrent getTS calls per shard through a
-// flat-combining batcher. Two tables:
+// instances; each call runs its family getTS on its shard and draws one
+// global epoch. Two tables:
 //
 //   T13a (gated, exact): simulated round-robin run of every registry family
 //        at shards in {1, 2, 4} with per-call rehash routing, full checkers
 //        on (composed property, per-shard property, cross-shard
-//        monotonicity). Every column is a deterministic integer — the
-//        simulator schedules, so combiner pass counts and batch sizes
-//        reproduce exactly — and the binary exits non-zero if any row's
-//        checks fail.
+//        monotonicity). Every column is a deterministic integer, and the
+//        binary exits non-zero if any row's checks fail.
 //
 //   T13b (gate + informational): closed-loop native traffic grid over
-//        clients x shards for the maxscan family — batched vs unbatched
-//        calls/sec, their ratio, and the batch-size distribution. Timing and
-//        load-dependent columns (anything the OS schedules) are diffed with
-//        an effectively-infinite tolerance; the exact columns are the call
-//        counts and the cross_ok verdict of a small fully-checked run per
-//        row. The reference row (32 clients, 4 shards = 8 clients/shard) is
-//        gated: batched throughput must be >= unbatched when real cores are
-//        available (>= 4 cores: ratio >= 1.0; 2-3 cores: >= 0.7; single
-//        core: skipped — combining cannot beat a serialized machine), and a
-//        batch of size > 1 must actually form (>= 2 cores).
+//        clients x shards for the maxscan family. The calls/sec column is
+//        OS-scheduled and diffed with an effectively-infinite tolerance; the
+//        exact columns are the call count and the cross_ok verdict of a
+//        small fully-checked run per row, which the binary also gates.
 #include "bench_common.hpp"
 #include "generic_driver.hpp"
-
-#include <thread>
 
 #include "api/registry.hpp"
 #include "util/table.hpp"
@@ -39,8 +29,7 @@ using namespace stamped;
 bool print_t13a() {
   util::Table table(
       "T13a: sharded service self-check (sim round-robin, n=8, rehash)",
-      {"family", "shards", "calls", "regs", "sim_passes", "sim_combined",
-       "sim_max_batch", "cross_pairs", "ok"});
+      {"family", "shards", "calls", "regs", "cross_pairs", "ok"});
   bool all_ok = true;
   for (const api::TimestampFamily& fam : api::registry()) {
     for (int s : {1, 2, 4}) {
@@ -48,7 +37,6 @@ bool print_t13a() {
       spec.n = 8;
       spec.calls_per_process = fam.max_calls_per_process == 1 ? 1 : 4;
       spec.shard.shards = s;
-      spec.shard.batched = true;
       // Per-call rehash routing makes consecutive calls of one client hop
       // shards, so the cross-shard checker has real obligations to hold
       // (one-shot families make one call and legitimately report 0 pairs).
@@ -61,9 +49,6 @@ bool print_t13a() {
           {fam.name, util::Table::fmt(static_cast<std::int64_t>(s)),
            util::Table::fmt(static_cast<std::int64_t>(rep.calls)),
            util::Table::fmt(rep.registers_allocated),
-           util::Table::fmt(static_cast<std::int64_t>(rep.combiner_passes)),
-           util::Table::fmt(static_cast<std::int64_t>(rep.combined_calls)),
-           util::Table::fmt(static_cast<std::int64_t>(rep.max_batch)),
            util::Table::fmt(static_cast<std::int64_t>(rep.cross_shard_pairs)),
            util::Table::fmt(static_cast<std::int64_t>(ok ? 1 : 0))});
     }
@@ -73,15 +58,13 @@ bool print_t13a() {
 }
 
 /// One native timing run of the maxscan family through the sharded service.
-api::ScenarioReport run_native_shards(int clients, int shards, int calls,
-                                      bool batched) {
+api::ScenarioReport run_native_shards(int clients, int shards, int calls) {
   api::ScenarioSpec spec;
   spec.n = clients;
   spec.calls_per_process = calls;
   spec.backend = api::Backend::kNative;
   spec.native_threads = 0;  // hardware concurrency
   spec.shard.shards = shards;
-  spec.shard.batched = batched;
   return api::Harness{}.run_scenario(api::family("maxscan"), spec,
                                      api::native_os(), api::Checkers::none());
 }
@@ -95,113 +78,64 @@ bool checked_cross_ok(int clients, int shards) {
   spec.backend = api::Backend::kNative;
   spec.native_threads = 0;
   spec.shard.shards = shards;
-  spec.shard.batched = true;
   spec.shard.rehash_calls = true;
   const api::ScenarioReport rep = api::Harness{}.run_scenario(
       api::family("maxscan"), spec, api::native_os());
   return rep.ok() && rep.all_finished;
 }
 
-struct T13bOutcome {
-  bool cross_ok_all = true;
-  double reference_ratio = 0.0;
-  std::uint64_t reference_max_batch = 0;
-};
-
-T13bOutcome print_t13b() {
+/// Returns true when every row's checked run is clean.
+bool print_t13b() {
   constexpr int kCalls = 64;
-  constexpr int kRefClients = 32;
-  constexpr int kRefShards = 4;
   util::Table table(
       "T13b: sharded maxscan closed-loop traffic (native, calls/client=64)",
-      {"clients", "shards", "calls", "unbatched_cps", "batched_cps", "ratio",
-       "nat_passes", "nat_avg_batch", "nat_max_batch", "cross_ok"});
-  T13bOutcome out;
+      {"clients", "shards", "calls", "cps", "cross_ok"});
+  bool cross_ok_all = true;
   for (int clients : {8, 32}) {
     for (int shards : {1, 2, 4}) {
-      const api::ScenarioReport unbatched =
-          run_native_shards(clients, shards, kCalls, false);
-      const api::ScenarioReport batched =
-          run_native_shards(clients, shards, kCalls, true);
-      const double cps_u = static_cast<double>(unbatched.calls) /
-                           unbatched.native_elapsed_seconds;
-      const double cps_b = static_cast<double>(batched.calls) /
-                           batched.native_elapsed_seconds;
-      const double ratio = cps_u > 0 ? cps_b / cps_u : 0.0;
+      const api::ScenarioReport rep =
+          run_native_shards(clients, shards, kCalls);
+      const double cps =
+          static_cast<double>(rep.calls) / rep.native_elapsed_seconds;
       const bool cross_ok = checked_cross_ok(clients, shards);
-      out.cross_ok_all = out.cross_ok_all && cross_ok;
-      if (clients == kRefClients && shards == kRefShards) {
-        out.reference_ratio = ratio;
-        out.reference_max_batch = batched.max_batch;
-      }
+      cross_ok_all = cross_ok_all && cross_ok;
       table.add_row(
           {util::Table::fmt(static_cast<std::int64_t>(clients)),
            util::Table::fmt(static_cast<std::int64_t>(shards)),
-           util::Table::fmt(static_cast<std::int64_t>(batched.calls)),
-           util::Table::fmt(cps_u, 0), util::Table::fmt(cps_b, 0),
-           util::Table::fmt(ratio, 2),
-           util::Table::fmt(static_cast<std::int64_t>(batched.combiner_passes)),
-           util::Table::fmt(batched.avg_batch, 2),
-           util::Table::fmt(static_cast<std::int64_t>(batched.max_batch)),
+           util::Table::fmt(static_cast<std::int64_t>(rep.calls)),
+           util::Table::fmt(cps, 0),
            util::Table::fmt(static_cast<std::int64_t>(cross_ok ? 1 : 0))});
     }
   }
   bench::emit(table);
-  std::cout << "note: *_cps, ratio, and the nat_* combiner columns are "
-               "OS-load-dependent (CI diffs them with infinite tolerance); "
-               "calls and cross_ok are exact.\n\n";
-  return out;
+  std::cout << "note: cps is OS-load-dependent (CI diffs it with infinite "
+               "tolerance); calls and cross_ok are exact.\n\n";
+  return cross_ok_all;
 }
 
-void BM_ShardedMaxscanBatched(benchmark::State& state) {
+void BM_ShardedMaxscan(benchmark::State& state) {
   for (auto _ : state) {
     const auto rep = run_native_shards(16, static_cast<int>(state.range(0)),
-                                       64, true);
+                                       64);
     benchmark::DoNotOptimize(rep.calls);
   }
   state.SetItemsProcessed(state.iterations() * 16 * 64);
 }
-BENCHMARK(BM_ShardedMaxscanBatched)->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(BM_ShardedMaxscan)->Arg(1)->Arg(2)->Arg(4);
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const bool t13a_ok = print_t13a();
-  const T13bOutcome t13b = print_t13b();
-  const unsigned cores = std::thread::hardware_concurrency();
-
-  // Gate thresholds by available parallelism (see file comment): combining
-  // pays by trading cross-thread cache traffic for one combiner's sequential
-  // pass, which needs real concurrency to show up on the clock.
-  const double required = cores >= 4 ? 1.0 : (cores >= 2 ? 0.7 : 0.0);
-  const bool ratio_ok = t13b.reference_ratio >= required;
-  const bool batch_ok = t13b.reference_max_batch > 1;
+  const bool t13b_ok = print_t13b();
   std::cout << "T13a self-check gate: every family x shard row checked "
             << "clean: " << (t13a_ok ? "PASS" : "FAIL") << "\n";
   std::cout << "T13b cross-shard gate: cross-shard monotonicity clean on "
-            << "every row: " << (t13b.cross_ok_all ? "PASS" : "FAIL") << "\n";
-  std::cout << "T13b throughput gate: batched/unbatched = "
-            << util::Table::fmt(t13b.reference_ratio, 2)
-            << " on the reference row (32 clients, 4 shards, " << cores
-            << " cores, floor " << util::Table::fmt(required, 1) << "): "
-            << (required == 0.0 ? "SKIPPED (single core)"
-                                : (ratio_ok ? "PASS" : "FAIL"))
-            << "\n";
-  std::cout << "T13b batching gate: max batch "
-            << t13b.reference_max_batch << " on the reference row: "
-            << (cores >= 2 ? (batch_ok ? "PASS" : "FAIL")
-                           : "SKIPPED (single core)")
-            << "\n\n";
+            << "every row: " << (t13b_ok ? "PASS" : "FAIL") << "\n\n";
 
-  // In table-only (CI) mode these gates are the perf contract: the baseline
-  // diff puts infinite tolerance on every load-dependent column, so this
-  // exit code is what stands between a combining regression and a green
-  // build. Correctness gates (T13a, cross_ok) hold on any machine; the
-  // throughput and batching gates need real cores.
+  // In table-only (CI) mode both correctness gates hold on any machine.
   if (stamped::bench::table_only(argc, argv)) {
-    const bool perf_ok =
-        (required == 0.0) || (ratio_ok && (cores < 2 || batch_ok));
-    return (t13a_ok && t13b.cross_ok_all && perf_ok) ? 0 : 1;
+    return (t13a_ok && t13b_ok) ? 0 : 1;
   }
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -271,8 +271,8 @@ struct TimestampFamily {
       make_native;
 
   /// Builds a sharded-service run of this family (src/shard/): clients are
-  /// routed to `spec.shard.shards` independent instances, concurrent calls
-  /// per shard are flat-combined, composed timestamps carry a global epoch.
+  /// routed to `spec.shard.shards` independent instances, each call runs the
+  /// family getTS on its shard, and composed timestamps carry a global epoch.
   /// Requires spec.shard.shards >= 1. Null when the family has no sharded
   /// form. Works on both backends (the spec's Backend picks sim vs native).
   std::function<std::unique_ptr<shard::ShardedInstance>(const ScenarioSpec&)>

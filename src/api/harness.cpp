@@ -97,6 +97,27 @@ void apply_checkers(const GenericCallLog& log, const Checkers& checkers,
   }
 }
 
+/// The report fields of one native run, shared by the plain and the sharded
+/// paths. Native runs have no simulated scheduler: steps is the register-op
+/// count, and registers_written stays 0 (the atomic backend does not track
+/// per-register write sets; footprint analysis is a simulator concern).
+void fill_native_report(const NativeRunStats& st, ScenarioReport& rep) {
+  rep.steps = st.ops;
+  rep.calls = st.calls;
+  rep.all_finished = true;  // run_native rethrows program failures
+  rep.survivors_finished = true;
+  rep.native_threads = st.threads;
+  rep.native_elapsed_seconds = st.elapsed_seconds;
+  rep.native_ops_per_sec =
+      st.elapsed_seconds > 0.0
+          ? static_cast<double>(st.ops) / st.elapsed_seconds
+          : 0.0;
+  rep.native_thread_calls = st.per_thread_calls;
+  rep.recorder_arena_bytes = st.recorder_arena_bytes;
+  rep.retired_nodes = st.retired_nodes;
+  rep.memory_arena_bytes = st.memory_arena_bytes;
+}
+
 /// The sharded-service path of run_scenario (ScenarioSpec::shard.shards
 /// > 0): builds a shard::ShardedInstance, drives it on the requested
 /// backend, and checks three layers of history — the composed global log
@@ -117,17 +138,6 @@ ScenarioReport run_sharded_scenario(const TimestampFamily& family,
           source.kind == ScheduleSource::Kind::kNativeOS,
       "sharded scenarios run under driver, crash, jitter, or native_os() "
       "sources; '" << source.name << "' is not supported");
-  // With lease stealing a parked combiner is recoverable: a later solo
-  // process exhausts its steal budget and takes the lease. Only the
-  // explicitly wedgeable no-steal config still rejects solo-blocking
-  // drivers up front — under it the wait loop genuinely cannot end.
-  STAMPED_ASSERT_MSG(!source.solo_blocking || spec.shard.allow_steal,
-                     "schedule source '"
-                         << source.name
-                         << "' runs processes solo until they block; with "
-                            "ShardSpec::allow_steal == false a parked "
-                            "combiner holds its lease forever and the "
-                            "flat-combining wait loop never terminates");
   ScenarioReport rep;
   rep.family = family.name;
   rep.schedule = source.name;
@@ -135,21 +145,7 @@ ScenarioReport run_sharded_scenario(const TimestampFamily& family,
 
   auto inst = family.make_sharded(spec);
   if (source.kind == ScheduleSource::Kind::kNativeOS) {
-    const NativeRunStats st = inst->run_native(spec.native_threads);
-    rep.steps = st.ops;
-    rep.calls = st.calls;
-    rep.all_finished = true;  // run_native rethrows program failures
-    rep.survivors_finished = true;
-    rep.native_threads = st.threads;
-    rep.native_elapsed_seconds = st.elapsed_seconds;
-    rep.native_ops_per_sec =
-        st.elapsed_seconds > 0.0
-            ? static_cast<double>(st.ops) / st.elapsed_seconds
-            : 0.0;
-    rep.native_thread_calls = st.per_thread_calls;
-    rep.recorder_arena_bytes = st.recorder_arena_bytes;
-    rep.retired_nodes = st.retired_nodes;
-    rep.memory_arena_bytes = st.memory_arena_bytes;
+    fill_native_report(inst->run_native(spec.native_threads), rep);
   } else {
     runtime::ISystem& sys = inst->system();
     if (spec.recording != runtime::RecordingMode::kFull) {
@@ -199,21 +195,14 @@ ScenarioReport run_sharded_scenario(const TimestampFamily& family,
   const shard::ShardRunStats st = inst->shard_stats();
   rep.registers_allocated = st.total_registers;
   rep.shards = st.shards;
-  rep.combiner_passes = st.combiner_passes;
-  rep.combined_calls = st.combined_calls;
-  rep.max_batch = st.max_batch;
-  rep.avg_batch = st.avg_batch();
   rep.shard_calls = st.per_shard_calls;
   rep.shard_clients = st.per_shard_clients;
-  rep.lease_steals = st.lease_steals;
-  rep.lease_expiries = st.lease_expiries;
-  rep.claim_losses = st.claim_losses;
   rep.metrics = inst->metrics();
 
   if (checkers.timestamp_property || checkers.per_process_monotonicity) {
     const GenericCallLog composed = inst->composed_calls();
     apply_checkers(composed, checkers, rep);
-    // At-most-once service: the claim protocol's observable consequence.
+    // At-most-once service: every call is recorded once, by its own client.
     // Restarted processes legitimately re-run the same (pid, call_index), so
     // the duplicate check only binds runs without restarts.
     if (rep.restarts == 0) {
@@ -411,7 +400,6 @@ ScheduleSource staggered(int group) {
 ScheduleSource covering_adversary() {
   ScheduleSource src;
   src.name = "covering";
-  src.solo_blocking = true;
   src.drive = [](runtime::ISystem& sys, util::Rng&, std::uint64_t max_steps) {
     // Pause every process at a write to a register no earlier process
     // covers (greedy covering), then release the block write and drain.
@@ -518,13 +506,7 @@ std::string ScenarioReport::summary() const {
        << " executions=" << executions;
   }
   if (shards > 0) {
-    os << " shards=" << shards << " passes=" << combiner_passes
-       << " combined=" << combined_calls << " max_batch=" << max_batch
-       << " avg_batch=" << avg_batch << " cross_pairs=" << cross_shard_pairs;
-    if (lease_steals > 0 || lease_expiries > 0 || claim_losses > 0) {
-      os << " steals=" << lease_steals << " expiries=" << lease_expiries
-         << " claim_losses=" << claim_losses;
-    }
+    os << " shards=" << shards << " cross_pairs=" << cross_shard_pairs;
   }
   for (const auto& [key, value] : metrics) os << ' ' << key << '=' << value;
   os << (ok() ? " OK" : " VIOLATED");
@@ -563,25 +545,7 @@ ScenarioReport Harness::run_scenario(const TimestampFamily& family,
     STAMPED_ASSERT_MSG(family.make_native != nullptr,
                        "family '" << family.name << "' has no native form");
     auto inst = family.make_native(spec);
-    const NativeRunStats st = inst->run_native(spec.native_threads);
-    // Native runs have no simulated scheduler: steps is the register-op
-    // count from the shared clock, and registers_written stays 0 (the
-    // atomic backend does not track per-register write sets; footprint
-    // analysis is a simulator concern).
-    rep.steps = st.ops;
-    rep.calls = st.calls;
-    rep.all_finished = true;  // run_native rethrows program failures
-    rep.survivors_finished = true;
-    rep.native_threads = st.threads;
-    rep.native_elapsed_seconds = st.elapsed_seconds;
-    rep.native_ops_per_sec =
-        st.elapsed_seconds > 0.0
-            ? static_cast<double>(st.ops) / st.elapsed_seconds
-            : 0.0;
-    rep.native_thread_calls = st.per_thread_calls;
-    rep.recorder_arena_bytes = st.recorder_arena_bytes;
-    rep.retired_nodes = st.retired_nodes;
-    rep.memory_arena_bytes = st.memory_arena_bytes;
+    fill_native_report(inst->run_native(spec.native_threads), rep);
     rep.metrics = inst->metrics();
     if (checkers.timestamp_property || checkers.per_process_monotonicity) {
       // The Haldar–Vitányi move: the OS scheduled the run, so correctness

@@ -63,14 +63,6 @@ struct ScheduleSource {
   runtime::JitterSpec jitter{};
   /// Search budget for kFuzzer.
   FuzzOptions fuzz{};
-  /// True for drivers that run one process solo until it blocks on a
-  /// covering condition (covering_adversary). The combiner-lease protocol
-  /// recovers from a parked lease holder (a later solo process exhausts its
-  /// steal budget and steals the lease), so sharded scenarios accept these
-  /// sources — except under ShardSpec::allow_steal == false, the explicitly
-  /// wedgeable legacy config, which still rejects them up front rather than
-  /// burning the step budget on a spin that cannot end.
-  bool solo_blocking = false;
 };
 
 /// Fair round-robin over unfinished processes.
@@ -197,25 +189,12 @@ struct ScenarioReport {
   std::uint64_t memory_arena_bytes = 0;
 
   /// Sharded scenarios only (ScenarioSpec::shard.shards > 0): shard count,
-  /// flat-combining batch accounting (passes that served >= 1 request, calls
-  /// served by some pass, largest/average single batch), the per-shard call
-  /// and client split, and how many cross-shard happens-before pairs the
-  /// cross-shard monotonicity checker held to order.
+  /// the per-shard call and client split, and how many cross-shard
+  /// happens-before pairs the cross-shard monotonicity checker held to order.
   int shards = 0;
-  std::uint64_t combiner_passes = 0;
-  std::uint64_t combined_calls = 0;
-  std::uint64_t max_batch = 0;
-  double avg_batch = 0.0;
   std::vector<std::uint64_t> shard_calls;
   std::vector<int> shard_clients;
   std::size_t cross_shard_pairs = 0;
-
-  /// Sharded fault accounting: leases stolen from stuck holders, steal
-  /// budgets exhausted (counted even when allow_steal is off), and claim
-  /// CASes lost by deposed passes (each one a prevented double-serve).
-  std::uint64_t lease_steals = 0;
-  std::uint64_t lease_expiries = 0;
-  std::uint64_t claim_losses = 0;
 
   Metrics metrics;
   std::vector<std::string> violations;

@@ -47,25 +47,11 @@ enum class Backend : std::uint8_t {
 /// comparable (epoch, shard, local) timestamps.
 struct ShardSpec {
   int shards = 0;            ///< 0 = unsharded; >= 1 = sharded service
-  bool batched = true;       ///< flat-combining batcher on each shard
   bool rehash_calls = false; ///< route per (client, call) instead of client
   /// Planted mis-composition for differential tests: report epoch 0 on
   /// every composed timestamp (the classic "forwarded the local label,
   /// dropped the epoch" bug). Never set outside tests.
   bool drop_epoch = false;
-  /// Native backend: raw spins between yields while waiting on a combiner.
-  /// 0 degenerates to yield-every-probe — still terminates, because the
-  /// wait loop's self-combine arm never depends on the holder.
-  int spin_budget = 64;
-  /// Probes (sim steps / native spin+yield rounds) a waiter tolerates with
-  /// no movement of the holder's (lease, heartbeat) before declaring the
-  /// lease expired and — when allow_steal — stealing it.
-  int steal_budget = 48;
-  /// False restores the old wedgeable semantics: an expired lease is
-  /// counted but never stolen, so a combiner that crashes or parks while
-  /// holding it wedges the shard. Exists for the wedge differential tests;
-  /// the harness rejects solo-blocking schedule sources under it.
-  bool allow_steal = true;
 };
 
 /// Parameters of one scenario: which system to build and how big.

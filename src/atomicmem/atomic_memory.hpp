@@ -38,7 +38,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -665,23 +664,12 @@ class DirectCtx {
   void note_call_complete() { ++calls_; }
   [[nodiscard]] std::uint64_t calls_completed() const { return calls_; }
 
-  /// Stall-injection seam for fault tests: called after every register op
-  /// with (pid, op count). The pointed-to function must outlive the run; a
-  /// hook that blocks models this thread being preempted mid-protocol.
-  void set_op_hook(const std::function<void(int, std::uint64_t)>* hook) {
-    hook_ = hook;
-  }
-
  private:
-  void bump() {
-    ++ops_;
-    if (hook_ != nullptr && *hook_) (*hook_)(pid_, ops_);
-  }
+  void bump() { ++ops_; }
 
   AtomicMemory<V>* mem_;
   int pid_;
   std::atomic<std::uint64_t>* clock_;
-  const std::function<void(int, std::uint64_t)>* hook_ = nullptr;
   std::uint64_t ops_ = 0;
   std::uint64_t calls_ = 0;
 };

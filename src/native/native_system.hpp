@@ -171,7 +171,6 @@ class NativeSystem {
  public:
   using Ctx = atomicmem::DirectCtx<V>;
   using Program = std::function<runtime::ProcessTask(Ctx&)>;
-  using OpHook = std::function<void(int pid, std::uint64_t my_ops)>;
 
   NativeSystem(int num_registers, const V& initial,
                std::vector<Program> programs)
@@ -183,16 +182,6 @@ class NativeSystem {
   [[nodiscard]] atomicmem::AtomicMemory<V>& memory() { return mem_; }
   [[nodiscard]] int num_processes() const {
     return static_cast<int>(programs_.size());
-  }
-
-  /// Deterministic stall injection for fault tests: the hook runs on the
-  /// worker thread after each of its register ops (pid, that process's op
-  /// count). A hook that blocks models a preempted/crashed thread — exactly
-  /// the adversary the combiner-lease protocol must survive. Install before
-  /// run(); the hook must be safe to call from multiple threads.
-  void set_op_hook(OpHook hook) {
-    STAMPED_ASSERT_MSG(!ran_, "install op hooks before run()");
-    hook_ = std::move(hook);
   }
 
   /// Executes every program to completion on `threads` workers (0 = hardware
@@ -242,7 +231,6 @@ class NativeSystem {
           // per-process facts. The task's frame refers to the ctx, so the
           // task is declared after it and destroyed first.
           Ctx ctx(&mem_, p, &clock_.value);
-          if (hook_) ctx.set_op_hook(&hook_);
           runtime::ProcessTask task =
               programs_[static_cast<std::size_t>(p)](ctx);
           task.handle().resume();
@@ -316,7 +304,6 @@ class NativeSystem {
   atomicmem::AtomicMemory<V> mem_;
   std::vector<Program> programs_;
   detail::StampClock clock_;
-  OpHook hook_;
   bool ran_ = false;
 };
 

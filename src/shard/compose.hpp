@@ -6,20 +6,16 @@
 // Haldar–Vitányi composition idea (PAPERS.md, cs/0108002) with a single
 // global epoch counter in place of a vector clock:
 //
-//   - `epoch` is drawn from one global fetch&add. A combiner pass draws one
-//     epoch for its whole batch AFTER collecting the batch (the linearization
-//     hinge — see docs/runtime.md "Sharding and combining"); an unbatched
-//     call draws its own epoch inside its call interval. Either way the draw
-//     happens inside every composed call's [invoked, responded) interval, so
-//     a happens-before pair always sees strictly increasing epochs and the
-//     epoch field alone settles every cross-call obligation.
-//   - equal epochs only arise within one combiner batch, whose calls are
-//     pairwise concurrent; the family's own comparator on the local labels
-//     breaks the tie strictly (asymmetry is all concurrent pairs need).
-//   - equal epochs on DIFFERENT shards are unreachable in a healthy run
-//     (epochs are globally unique per draw); the comparator returns false
-//     both ways, which is exactly what makes the planted drop_epoch
-//     mis-composition detectable (see verify::check_cross_shard_monotonicity).
+//   - `epoch` is drawn from one global fetch&add by every call, after its
+//     family getTS returns and so inside the call's [invoked, responded)
+//     interval (docs/runtime.md, "Sharding"). A happens-before pair always
+//     sees strictly increasing epochs, and the epoch field alone settles
+//     every cross-call obligation.
+//   - every draw is unique, so a healthy run never produces equal epochs.
+//     On equal epochs the comparator falls back to the family's own
+//     comparator within one shard and returns false both ways across shards,
+//     which is exactly what makes the planted drop_epoch mis-composition
+//     (every epoch 0) detectable (see verify::check_cross_shard_monotonicity).
 #pragma once
 
 #include <cstdint>
@@ -33,7 +29,7 @@
 namespace stamped::shard {
 
 /// A globally comparable timestamp: the shard-local label `local` lifted by
-/// the global pass epoch. `shard` is carried for diagnostics and for the
+/// the global call epoch. `shard` is carried for diagnostics and for the
 /// cross-shard checker; compare never orders across shards within one epoch.
 template <class Ts>
 struct ComposedTs {
@@ -52,8 +48,8 @@ struct ComposedTs {
 };
 
 /// compare() of the composed object: epoch order first; within one epoch
-/// (one combiner batch) the family's own comparator on the local labels,
-/// which is only meaningful on the batch's shard.
+/// (only drop_epoch produces equal epochs) the family's own comparator on
+/// the local labels, which is only meaningful within one shard.
 template <class Ts, class Cmp>
 struct ComposedCompare {
   Cmp local{};

@@ -1,29 +1,10 @@
 // Per-family engines of the sharded service: the uniform seam between the
-// generic flat-combining machinery (sharded_service.hpp) and the paper's
-// algorithms (src/core/).
+// generic client program (sharded_service.hpp) and the paper's algorithms
+// (src/core/).
 //
 // An engine answers, for one family: how many registers a shard of width w
 // needs, what the registers start as, how one shard-local getTS call runs,
-// and — where the algorithm's structure allows it — how a whole combiner
-// batch runs with ONE scan pass (kHasBatch). maxscan amortizes its collect
-// (one scan of w registers serves the entire batch, labels mx+1..mx+m);
-// fetch&add amortizes its RMW (one fetch_add of m serves m calls). The
-// collect-free families (simple, sqrt, growing, bounded) are NEVER
-// delegated: their one-shot getts cannot be safely re-executed by a deposed
-// combiner, so in batched mode each client runs its own getts and the
-// combiner pass only grants the composing epoch (sharded_service.hpp).
-//
-// Since combiner leases can be stolen, a batch may be executed by a pass
-// that is later deposed yet still completes (a zombie). Engine batches are
-// therefore written to be ZOMBIE-SAFE: they speculate — compute candidate
-// labels and touch only state whose monotonicity survives a stale pass
-// finishing late. maxscan writes the batch's top label ONCE to the
-// COMBINER'S OWN register (each register is then written only by its
-// owner's sequential passes, so registers stay monotone under any zombie
-// delay) and writes it BEFORE any response publishes (so a pass serving a
-// happens-after request collects at least that label). fetch&add draws from
-// an RMW, unique by construction. Batches do not publish, record, or count
-// calls — the claim winner in sharded_service.hpp does that per request.
+// and how the shard's local history is compared and filtered.
 //
 // Engines run under OffsetCtx with shard-LOCAL pids, so every algorithm
 // keeps its own register discipline per shard.
@@ -43,7 +24,6 @@
 #include "core/sqrt_oneshot.hpp"
 #include "core/timestamp.hpp"
 #include "runtime/coro.hpp"
-#include "shard/flat_combiner.hpp"
 #include "util/assert.hpp"
 
 namespace stamped::shard {
@@ -59,7 +39,6 @@ struct MaxscanEngine {
   using V = std::int64_t;
   using Ts = std::int64_t;
   using Cmp = core::Compare;
-  static constexpr bool kHasBatch = true;
 
   explicit MaxscanEngine(const api::ScenarioSpec&) {}
 
@@ -77,40 +56,12 @@ struct MaxscanEngine {
                              int call_index, Log* log) {
     return core::maxscan_getts(ctx, local_pid, g.width, call_index, log);
   }
-
-  /// The flat-combining payoff: ONE collect of the shard's w registers
-  /// serves the whole batch with candidate labels mx+1, mx+2, ... in slot
-  /// order, and ONE write lands the batch's top label in the combiner's own
-  /// register. Writing only the own register is the zombie-safety hinge:
-  /// each register is written solely by its owner's sequential passes, so a
-  /// deposed combiner finishing late can never drag a register backwards.
-  /// The write precedes every response publish (the claim loop runs after
-  /// this coroutine returns), so any pass serving a request published after
-  /// one of these responses collects mx' >= this top label — batch labels
-  /// of happens-before pairs strictly increase across passes of any mix of
-  /// generations.
-  template <class Ctx>
-  runtime::SubTask<int> batch(Ctx& ctx, const ShardGeom& g, int my_local_pid,
-                              const std::vector<BatchReq>& reqs,
-                              std::vector<Ts>& out) {
-    std::int64_t mx = 0;
-    for (int i = 0; i < g.width; ++i) {
-      mx = std::max(mx, co_await ctx.read(i));
-    }
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-      out[i] = mx + 1 + static_cast<std::int64_t>(i);
-    }
-    co_await ctx.write(my_local_pid,
-                       mx + static_cast<std::int64_t>(reqs.size()));
-    co_return static_cast<int>(reqs.size());
-  }
 };
 
 struct SimpleEngine {
   using V = std::int64_t;
   using Ts = std::int64_t;
   using Cmp = core::Compare;
-  static constexpr bool kHasBatch = false;
 
   explicit SimpleEngine(const api::ScenarioSpec& spec) {
     STAMPED_ASSERT_MSG(spec.calls_per_process == 1,
@@ -140,7 +91,6 @@ struct SqrtEngine {
   using V = core::TsRecord;
   using Ts = core::PairTimestamp;
   using Cmp = core::Compare;
-  static constexpr bool kHasBatch = false;
 
   explicit SqrtEngine(const api::ScenarioSpec& spec)
       : calls_(spec.calls_per_process),
@@ -184,7 +134,6 @@ struct FetchAddEngine {
   using V = std::int64_t;
   using Ts = std::int64_t;
   using Cmp = core::Compare;
-  static constexpr bool kHasBatch = true;
 
   explicit FetchAddEngine(const api::ScenarioSpec&) {}
 
@@ -202,29 +151,12 @@ struct FetchAddEngine {
     // pid only labels the record; the counter is register 0 for everyone.
     return core::fetchadd_getts(ctx, local_pid, call_index, log);
   }
-
-  /// One fetch_add of m claims m consecutive labels for the whole batch.
-  /// Zombie-safe for free: the RMW makes every drawn label globally unique
-  /// and realtime-monotone; a deposed pass that loses its claims simply
-  /// leaves gaps in the label sequence.
-  template <class Ctx>
-  runtime::SubTask<int> batch(Ctx& ctx, const ShardGeom&, int /*my_local_pid*/,
-                              const std::vector<BatchReq>& reqs,
-                              std::vector<Ts>& out) {
-    const auto m = static_cast<std::int64_t>(reqs.size());
-    const std::int64_t base = co_await ctx.fetch_add(0, m);
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-      out[i] = base + 1 + static_cast<std::int64_t>(i);
-    }
-    co_return static_cast<int>(reqs.size());
-  }
 };
 
 struct BoundedEngine {
   using V = core::BoundedLabel;
   using Ts = core::BoundedTimestamp;
   using Cmp = core::BoundedCompare;
-  static constexpr bool kHasBatch = false;
 
   explicit BoundedEngine(const api::ScenarioSpec& spec)
       : calls_(spec.calls_per_process),

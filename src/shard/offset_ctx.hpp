@@ -4,26 +4,15 @@
 // service packs them all into one runtime::System / native::NativeSystem
 // memory and hands each execution an OffsetCtx that rebases register indices
 // by the shard's base offset. The family getts coroutines are templates over
-// their ctx, so they run unchanged — on the simulator, on real threads, and
-// under a combiner executing another client's call (the combiner's own ctx,
-// the request's shard-local pid).
+// their ctx, so they run unchanged on the simulator and on real threads.
 #pragma once
 
 #include <cstdint>
+#include <utility>
 
-#include "atomicmem/atomic_memory.hpp"
 #include "util/assert.hpp"
 
 namespace stamped::shard {
-
-/// True when `Ctx` executes on a real OS thread (native backend): spin waits
-/// must use raw atomics + yield there, while simulator ctxs spin by burning
-/// scheduler steps so other coroutines get to run.
-template <class Ctx>
-inline constexpr bool kRealThreadCtx = false;
-
-template <class V>
-inline constexpr bool kRealThreadCtx<atomicmem::DirectCtx<V>> = true;
 
 template <class Ctx>
 class OffsetCtx {
@@ -71,8 +60,5 @@ class OffsetCtx {
   int base_;
   int limit_;
 };
-
-template <class Ctx>
-inline constexpr bool kRealThreadCtx<OffsetCtx<Ctx>> = kRealThreadCtx<Ctx>;
 
 }  // namespace stamped::shard

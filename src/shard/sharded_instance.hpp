@@ -1,14 +1,13 @@
 // ShardedInstance: the type-erased face of one sharded-service run.
 //
 // Not a FamilyInstance — a sharded run has richer structure than one call
-// log: a composed global history, one local history per shard, combiner
-// statistics, and the cross-shard obligation. The harness consumes this
-// interface (api/harness.cpp routes ScenarioSpec::shard.shards > 0 here);
-// families expose a builder through TimestampFamily::make_sharded.
+// log: a composed global history, one local history per shard, the
+// per-shard traffic split, and the cross-shard obligation. The harness
+// consumes this interface (api/harness.cpp routes ScenarioSpec::shard.shards
+// > 0 here); families expose a builder through TimestampFamily::make_sharded.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "api/family.hpp"
@@ -17,28 +16,25 @@
 
 namespace stamped::shard {
 
-/// Callback invoked by the native backend after every register operation:
-/// (pid, that process's op count so far). Installed through
-/// set_native_op_hook; the fault tests use it to deterministically park the
-/// thread currently holding a combiner lease and watch the lease get stolen.
-using NativeOpHook = std::function<void(int pid, std::uint64_t my_ops)>;
-
-/// What one sharded run did, beyond the plain call counts: the combiner's
-/// batching behavior and the per-shard traffic split. Deterministic on the
-/// simulator (the scheduler is); genuinely load-dependent on real threads.
+/// What one sharded run did, beyond the plain call counts: the per-shard
+/// traffic split. Deterministic on the simulator (the scheduler is);
+/// load-dependent on real threads.
 struct ShardRunStats {
   int shards = 0;
   int clients = 0;
-  bool batched = true;
   std::int64_t total_registers = 0;     ///< across all shard instances
-  std::uint64_t combiner_passes = 0;    ///< passes that served >= 1 request
-  std::uint64_t combined_calls = 0;     ///< requests served by some pass
-  std::uint64_t max_batch = 0;          ///< largest single pass
-  std::uint64_t lease_steals = 0;       ///< leases taken from a stuck holder
-  std::uint64_t lease_expiries = 0;     ///< budgets exhausted (steal or not)
-  std::uint64_t claim_losses = 0;       ///< deposed passes losing the claim
   std::vector<std::uint64_t> per_shard_calls;
   std::vector<int> per_shard_clients;   ///< static members (rehash: all)
+
+  /// Always 0: the service has no combiner, so no call is batched, and no
+  /// lease exists to steal or expire. Kept only because the repository
+  /// benchmark (perfbench/) still reads them; its next change drops them.
+  std::uint64_t combiner_passes = 0;
+  std::uint64_t combined_calls = 0;
+  std::uint64_t max_batch = 0;
+  std::uint64_t lease_steals = 0;
+  std::uint64_t lease_expiries = 0;
+  std::uint64_t claim_losses = 0;
 
   [[nodiscard]] double avg_batch() const {
     return combiner_passes > 0
@@ -59,16 +55,6 @@ class ShardedInstance {
   [[nodiscard]] virtual bool native() const = 0;
   [[nodiscard]] virtual runtime::ISystem& system() = 0;
   virtual api::NativeRunStats run_native(int threads) = 0;
-
-  /// Native-only stall injection: the hook runs on the worker thread after
-  /// each of its register ops. Asserts on sim-built instances.
-  virtual void set_native_op_hook(NativeOpHook hook) = 0;
-
-  /// Raw lease word of shard s ([owner+1:16][generation:48]; odd = held) and
-  /// its decoded holder (-1 when free). Safe to poll concurrently with a
-  /// native run — the fault tests watch these to observe steals live.
-  [[nodiscard]] virtual std::uint64_t lease_word(int s) const = 0;
-  [[nodiscard]] virtual int lease_owner(int s) const = 0;
 
   /// The composed global history: one record per client call, timestamped
   /// with (epoch, shard, local label), compared through ComposedCompare.

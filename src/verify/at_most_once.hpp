@@ -1,22 +1,16 @@
 // At-most-once service: no (pid, call_index) is ever answered twice.
 //
-// The crash-tolerant flat combiner (src/shard/) allows combining passes of
-// different lease generations to interleave: a deposed-but-alive combiner
-// may finish its pass after a successor already served the same requests.
-// The per-request claim (FcSlot::done CAS) is supposed to make exactly one
-// pass win each request — this checker validates that claim's observable
-// consequence on the recorded history: every completed call appears exactly
-// once. A double-publish (two passes both recording a response for the same
-// call) is precisely the bug class the claim protocol exists to rule out,
-// and it is invisible to the ordering checkers when the duplicate labels
-// happen to be consistent.
+// In the sharded service (src/shard/) every call is recorded once, by its own
+// client, after its own getTS and epoch draw. This checker validates that on
+// the recorded composed history: every completed call appears exactly once.
+// A double record (two responses for the same call) is invisible to the
+// ordering checkers when the duplicate labels happen to be consistent.
 //
 // What it does NOT guarantee: that the single recorded response is correct
-// (the timestamp property and monotonicity checkers own that), or that
-// every published request was served at all (run completion owns liveness —
-// a wedged run never reaches the checkers). After a restart the SAME
-// (pid, call_index) legitimately runs again, so the harness applies this
-// checker only to runs without restarts.
+// (the timestamp property and monotonicity checkers own that), or that every
+// invoked call completed (run completion owns liveness). After a restart the
+// SAME (pid, call_index) legitimately runs again, so the harness applies
+// this checker only to runs without restarts.
 #pragma once
 
 #include <cstdint>

@@ -134,12 +134,11 @@ TEST(FaultInjection, CrashedCoverersDoNotBlockAlgorithm4Scans) {
 class ShardedFaultSweep
     : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
 
-TEST_P(ShardedFaultSweep, CombinerVictimCrashesLeaveCleanHistories) {
-  // The tentpole's sweep: batched sharded service under the crash adversary
-  // for every family x shards {1, 2, 4}. Crash thresholds land anywhere in
-  // a victim's own step stream — including mid-combining-pass while it
-  // HOLDS a shard's lease. Survivors must steal through, finish, and leave
-  // composed/per-shard/cross-shard/at-most-once histories clean.
+TEST_P(ShardedFaultSweep, VictimCrashesLeaveCleanHistories) {
+  // The sharded service under the crash adversary for every family x shards
+  // {1, 2, 4}. Crash thresholds land anywhere in a victim's own step stream,
+  // including mid-getTS. Survivors must finish and leave composed/per-shard/
+  // cross-shard/at-most-once histories clean.
   const auto [name, shards] = GetParam();
   const auto& fam = api::family(name);
   api::ScenarioSpec spec;
@@ -147,7 +146,6 @@ TEST_P(ShardedFaultSweep, CombinerVictimCrashesLeaveCleanHistories) {
   spec.calls_per_process = fam.max_calls_per_process == 1 ? 1 : 3;
   spec.universe_bound = 64;  // bounded family: window covers every call
   spec.shard.shards = shards;
-  spec.shard.steal_budget = 12;  // tight budget: steals fire inside max_steps
   for (const std::uint64_t seed : {41u, 42u, 43u}) {
     spec.seed = seed;
     const auto report = api::Harness{}.run_scenario(
@@ -157,7 +155,7 @@ TEST_P(ShardedFaultSweep, CombinerVictimCrashesLeaveCleanHistories) {
         << report.summary();
     EXPECT_TRUE(report.survivors_finished)
         << name << " shards=" << shards << " seed=" << seed
-        << ": a crashed combiner wedged its shard — " << report.summary();
+        << ": a crashed client wedged its shard — " << report.summary();
     EXPECT_EQ(report.all_finished, report.crashed_down == 0);
   }
 }
@@ -177,15 +175,14 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(FaultInjection, ShardedServiceSurvivesJitterStalls) {
-  // The jitter adversary stalls processes for whole windows — a combiner
-  // stalled while holding its lease is the sim-side version of native
-  // preemption. Waiters must steal and the histories stay clean.
+  // The jitter adversary stalls processes for whole windows, the sim-side
+  // version of native preemption. Every client finishes and the histories
+  // stay clean.
   api::ScenarioSpec spec;
   spec.n = 8;
   spec.calls_per_process = 3;
   spec.seed = 11;
   spec.shard.shards = 2;
-  spec.shard.steal_budget = 12;
   runtime::JitterSpec jitter;
   jitter.stall_period = 4;
   jitter.max_stall = 48;

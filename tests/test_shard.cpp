@@ -1,7 +1,7 @@
 // Tests: the sharded timestamp service (src/shard/) — routing layout,
-// composed-timestamp comparison, the flat-combining batcher, harness
-// integration on both backends, and the cross-shard monotonicity checker
-// (including the planted epoch-dropping mis-composition it must catch).
+// composed-timestamp comparison, harness integration on both backends, and
+// the cross-shard monotonicity checker (including the planted epoch-dropping
+// mis-composition it must catch).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -84,8 +84,8 @@ TEST(ComposedCompare, EpochDominatesThenShardThenLocal) {
   // Equal epoch, same shard: the family comparator on local labels.
   EXPECT_TRUE(cmp(C{3, 1, 4}, C{3, 1, 5}));
   EXPECT_FALSE(cmp(C{3, 1, 5}, C{3, 1, 4}));
-  // Equal epoch, different shards: incomparable both ways (asymmetry holds
-  // vacuously; such pairs are concurrent within one batch window).
+  // Equal epoch, different shards: incomparable both ways (epochs are
+  // unique per draw, so only a mis-composition produces such pairs).
   EXPECT_FALSE(cmp(C{3, 0, 1}, C{3, 1, 2}));
   EXPECT_FALSE(cmp(C{3, 1, 2}, C{3, 0, 1}));
   // Irreflexive.
@@ -156,63 +156,38 @@ TEST(ShardedHarness, PlantedEpochDropIsCaughtAtPinnedSeed) {
 
 TEST(ShardedHarness, AllFamiliesCleanOnSimAcrossShardCounts) {
   // The clean path: every registry family through the sharded service at
-  // shards in {1, 2, 4}, batched and unbatched, static and rehash routing,
-  // full checkers on. Simulator backend, so fully deterministic.
+  // shards in {1, 2, 4}, static and rehash routing, full checkers on.
+  // Simulator backend, so fully deterministic.
   for (const auto& fam : api::registry()) {
     ASSERT_NE(fam.make_sharded, nullptr) << fam.name;
     for (int shards : {1, 2, 4}) {
-      for (const bool batched : {true, false}) {
-        for (const bool rehash : {true, false}) {
-          api::ScenarioSpec spec;
-          spec.n = 6;
-          spec.calls_per_process = fam.max_calls_per_process == 1 ? 1 : 3;
-          spec.shard.shards = shards;
-          spec.shard.batched = batched;
-          spec.shard.rehash_calls = rehash;
-          const auto rep = api::Harness{}.run_scenario(
-              fam, spec, api::seeded_random());
-          EXPECT_TRUE(rep.ok())
-              << fam.name << " shards=" << shards << " batched=" << batched
-              << " rehash=" << rehash << ": " << rep.summary();
-          EXPECT_TRUE(rep.all_finished) << fam.name;
-          EXPECT_EQ(rep.calls,
-                    static_cast<std::uint64_t>(spec.total_calls()))
-              << fam.name;
-          EXPECT_EQ(rep.shards, shards);
-          const std::uint64_t shard_sum = std::accumulate(
-              rep.shard_calls.begin(), rep.shard_calls.end(),
-              std::uint64_t{0});
-          EXPECT_EQ(shard_sum, rep.calls) << fam.name;
-          if (!batched) {
-            EXPECT_EQ(rep.combiner_passes, 0u) << fam.name;
-          }
-        }
+      for (const bool rehash : {true, false}) {
+        api::ScenarioSpec spec;
+        spec.n = 6;
+        spec.calls_per_process = fam.max_calls_per_process == 1 ? 1 : 3;
+        spec.shard.shards = shards;
+        spec.shard.rehash_calls = rehash;
+        const auto rep = api::Harness{}.run_scenario(
+            fam, spec, api::seeded_random());
+        EXPECT_TRUE(rep.ok()) << fam.name << " shards=" << shards
+                              << " rehash=" << rehash << ": "
+                              << rep.summary();
+        EXPECT_TRUE(rep.all_finished) << fam.name;
+        EXPECT_EQ(rep.calls, static_cast<std::uint64_t>(spec.total_calls()))
+            << fam.name;
+        EXPECT_EQ(rep.shards, shards);
+        const std::uint64_t shard_sum = std::accumulate(
+            rep.shard_calls.begin(), rep.shard_calls.end(),
+            std::uint64_t{0});
+        EXPECT_EQ(shard_sum, rep.calls) << fam.name;
       }
     }
   }
 }
 
-TEST(ShardedHarness, BatcherActuallyBatchesUnderConcurrentSchedules) {
-  // Round-robin over 8 clients of one shard: while the first combiner holds
-  // the lock mid-pass, everyone else publishes; the next pass serves them
-  // all at once. The simulator makes this deterministic.
-  api::ScenarioSpec spec;
-  spec.n = 8;
-  spec.calls_per_process = 4;
-  spec.shard.shards = 1;
-  const auto rep = api::Harness{}.run_scenario(api::family("maxscan"), spec,
-                                               api::round_robin());
-  EXPECT_TRUE(rep.ok()) << rep.summary();
-  EXPECT_GT(rep.combiner_passes, 0u);
-  EXPECT_GT(rep.max_batch, 1u) << "no batch larger than 1 formed";
-  EXPECT_EQ(rep.combined_calls,
-            static_cast<std::uint64_t>(spec.total_calls()));
-  EXPECT_GE(rep.avg_batch, 1.0);
-}
-
 TEST(ShardedHarness, NativeBackendRunsAndChecksClean) {
-  // Spot check on real threads: batched maxscan and fetchadd, rehash
-  // routing, full checkers on the recorded composed/per-shard histories.
+  // Spot check on real threads: maxscan and fetchadd, rehash routing, full
+  // checkers on the recorded composed/per-shard histories.
   for (const char* name : {"maxscan", "fetchadd"}) {
     api::ScenarioSpec spec;
     spec.n = 8;
@@ -233,46 +208,18 @@ TEST(ShardedHarness, NativeBackendRunsAndChecksClean) {
   }
 }
 
-TEST(ShardedHarness, SoloBlockingSourceRejectedOnlyWithoutStealing) {
-  // covering_adversary parks a client mid-combine while it holds the shard
-  // lease. With allow_steal off that wedges the shard forever, so the
-  // harness must reject the source up front rather than spin out the step
-  // budget...
+TEST(ShardedHarness, CoveringAdversaryCompletesClean) {
+  // covering_adversary runs each client solo until it is poised to write a
+  // fresh register, then parks it there. A parked client holds nothing the
+  // others wait on, so the run drains to a clean, fully checked completion.
   api::ScenarioSpec spec;
   spec.n = 4;
   spec.calls_per_process = 2;
   spec.shard.shards = 2;
-  spec.shard.allow_steal = false;
-  EXPECT_THROW((void)api::Harness{}.run_scenario(
-                   api::family("maxscan"), spec, api::covering_adversary()),
-               stamped::invariant_error);
-
-  // ...while the default lease semantics recover: a later solo process
-  // exhausts its steal budget, steals the parked lease, and the run drains
-  // to a clean, fully-checked completion.
-  spec.shard.allow_steal = true;
   const auto rep = api::Harness{}.run_scenario(api::family("maxscan"), spec,
                                                api::covering_adversary());
   EXPECT_TRUE(rep.ok()) << rep.summary();
   EXPECT_TRUE(rep.all_finished) << rep.summary();
-  EXPECT_EQ(rep.calls, static_cast<std::uint64_t>(spec.total_calls()));
-}
-
-TEST(ShardedHarness, ZeroSpinBudgetStillTerminates) {
-  // Degenerate native budget: spin_budget = 0 yields on every probe. The
-  // wait loop's self-combine arm never depends on another process, so the
-  // run must still terminate and check clean.
-  api::ScenarioSpec spec;
-  spec.n = 6;
-  spec.calls_per_process = 4;
-  spec.backend = api::Backend::kNative;
-  spec.native_threads = 4;
-  spec.shard.shards = 2;
-  spec.shard.spin_budget = 0;
-  const auto rep = api::Harness{}.run_scenario(api::family("maxscan"), spec,
-                                               api::native_os());
-  EXPECT_TRUE(rep.ok()) << rep.summary();
-  EXPECT_TRUE(rep.all_finished);
   EXPECT_EQ(rep.calls, static_cast<std::uint64_t>(spec.total_calls()));
 }
 

@@ -1,160 +1,90 @@
-// The wedge differentials of the combiner-lease protocol (ISSUE 10
-// acceptance): the same fault schedule that wedges the sharded service
-// under the legacy no-steal semantics completes with clean histories under
-// generation-stamped leases — pinned-seed deterministic on the simulator,
-// and with real preempted threads (op-hook stall injection) on the native
-// backend. Plus restart recovery through the drain-then-publish slot path.
+// Fault tolerance of the sharded service: a sharded call takes no lock and
+// waits on nobody, so a client frozen mid-call delays no other client, and
+// restarted clients run their programs again to clean histories.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <thread>
+#include <string>
+#include <vector>
 
 #include "api/harness.hpp"
 #include "api/registry.hpp"
 #include "runtime/scheduler.hpp"
-#include "shard/engines.hpp"
-#include "shard/sharded_service.hpp"
-#include "verify/at_most_once.hpp"
+#include "shard/compose.hpp"
 
 namespace {
 
 using namespace stamped;
 
-// The crash schedule both sides of the sim differential replay: two victims,
-// dead within their first 10 own-steps — early enough that (at seed 11,
-// deterministically) a victim dies while HOLDING a shard's combiner lease.
-runtime::CrashPlan combiner_killer() {
-  runtime::CrashPlan plan;
-  plan.crashes = 2;
-  plan.restart = false;
-  plan.max_victim_steps = 10;
-  return plan;
+// Steps client 0 `frozen_after` times, then never again, and runs every
+// other client solo to completion, recording how many steps each one took.
+api::ScheduleSource freeze_client_zero(int frozen_after,
+                                       std::vector<std::uint64_t>* steps) {
+  api::ScheduleSource src;
+  src.name = "freeze-0-after-" + std::to_string(frozen_after);
+  src.drive = [frozen_after, steps](runtime::ISystem& sys, util::Rng&,
+                                    std::uint64_t max_steps) {
+    for (int i = 0; i < frozen_after && !sys.finished(0); ++i) sys.step(0);
+    steps->assign(static_cast<std::size_t>(sys.num_processes()), 0);
+    for (int p = 1; p < sys.num_processes(); ++p) {
+      runtime::run_solo_until(
+          sys, p, [](runtime::ISystem&) { return false; }, max_steps);
+      (*steps)[static_cast<std::size_t>(p)] = sys.steps_taken_by(p);
+    }
+  };
+  return src;
 }
 
-api::ScenarioSpec differential_spec() {
-  api::ScenarioSpec spec;
-  spec.n = 6;
-  spec.calls_per_process = 3;
-  spec.seed = 11;  // pinned: crash hits a lease holder mid-pass; >= 1 pass
-                   // is later deposed AND loses claims (zombie coverage)
-  spec.shard.shards = 2;
-  spec.shard.steal_budget = 12;
-  return spec;
-}
-
-TEST(ShardWedgeDifferential, CrashedCombinerWedgesWithoutStealing) {
-  // Legacy bool-lock semantics (allow_steal = false): the crashed holder
-  // keeps its lease forever, every waiter of that shard spins to the step
-  // budget, and survivors never finish. Small harness budget so the test
-  // demonstrates the wedge without burning 2^32 steps.
-  api::ScenarioSpec spec = differential_spec();
-  spec.shard.allow_steal = false;
-  const auto rep = api::Harness{std::uint64_t{1} << 18}.run_scenario(
-      api::family("maxscan"), spec,
-      api::crash_restart(combiner_killer()));
-  EXPECT_FALSE(rep.survivors_finished)
-      << "no-steal config was expected to wedge: " << rep.summary();
-  EXPECT_FALSE(rep.all_finished);
-  EXPECT_EQ(rep.lease_steals, 0u);
-  EXPECT_EQ(rep.steps, std::uint64_t{1} << 18)
-      << "a wedged run spins out the whole step budget";
-}
-
-TEST(ShardWedgeDifferential, LeasesHealTheSameScheduleOnSim) {
-  // Same spec, same seed, same crash plan — only allow_steal differs.
-  // Waiters expire the dead holder's budget, steal the lease, and the run
-  // completes with every history layer clean, including at-most-once
-  // (applied by the harness; claim_losses > 0 proves a deposed pass really
-  // interleaved and lost).
-  const auto rep = api::Harness{std::uint64_t{1} << 18}.run_scenario(
-      api::family("maxscan"), differential_spec(),
-      api::crash_restart(combiner_killer()));
-  EXPECT_TRUE(rep.ok()) << rep.summary();
-  EXPECT_TRUE(rep.survivors_finished) << rep.summary();
-  EXPECT_GE(rep.lease_steals, 1u) << rep.summary();
-  EXPECT_GE(rep.lease_expiries, 1u);
-  EXPECT_GE(rep.claim_losses, 1u)
-      << "pinned seed was chosen so a deposed pass loses claims: "
-      << rep.summary();
-}
-
-// Builds a batched single-shard native maxscan instance and installs an op
-// hook that parks the FIRST thread observed doing register ops while holding
-// the shard's lease — a deterministic stand-in for OS preemption of a
-// combiner mid-pass. The park ends when the lease word changes (it was
-// stolen) or after a bounded number of yields (the no-steal fallback).
-struct NativeStallRun {
-  std::unique_ptr<shard::ShardedInstance> inst;
-  std::atomic<bool> parked{false};
-
-  explicit NativeStallRun(bool allow_steal) {
-    api::ScenarioSpec spec;
-    spec.n = 4;
-    spec.calls_per_process = 6;
-    spec.backend = api::Backend::kNative;
-    spec.native_threads = 4;
-    spec.shard.shards = 1;
-    spec.shard.spin_budget = 4;
-    spec.shard.steal_budget = 16;
-    spec.shard.allow_steal = allow_steal;
-    inst = shard::make_sharded<shard::MaxscanEngine>(spec);
-    inst->set_native_op_hook([this](int pid, std::uint64_t) {
-      // lease_owner == pid means THIS thread holds the lease (it cannot
-      // release while stopped inside its own hook), so the check is stable.
-      if (inst->lease_owner(0) != pid) return;
-      bool expected = false;
-      if (!parked.compare_exchange_strong(expected, true)) return;
-      const std::uint64_t held = inst->lease_word(0);
-      for (int i = 0; i < 200000 && inst->lease_word(0) == held; ++i) {
-        std::this_thread::yield();
+TEST(ShardWaitFreedom, FrozenClientDelaysNobody) {
+  // Client 0 stops after k of its steps, for every k from 0 through one full
+  // call. Every other client must still finish in exactly its solo step
+  // count — (shard width + 1) per call for maxscan, 1 per call for fetchadd
+  // — with every history layer clean. A client that had to wait for the
+  // frozen one would spend extra steps, or never finish.
+  constexpr int kClients = 5;
+  constexpr int kCalls = 3;
+  for (const char* name : {"maxscan", "fetchadd"}) {
+    const bool maxscan = std::string(name) == "maxscan";
+    for (const int shards : {1, 2}) {
+      const shard::ShardLayout lo = shard::ShardLayout::make(
+          kClients, shards, /*rehash_calls=*/false, [](int w) { return w; });
+      const auto steps_per_call = [&](int c) -> std::uint64_t {
+        if (!maxscan) return 1;
+        const int s = lo.shard_of[static_cast<std::size_t>(c)];
+        return static_cast<std::uint64_t>(
+                   lo.width[static_cast<std::size_t>(s)]) + 1;
+      };
+      for (int k = 0; k <= static_cast<int>(steps_per_call(0)); ++k) {
+        api::ScenarioSpec spec;
+        spec.n = kClients;
+        spec.calls_per_process = kCalls;
+        spec.shard.shards = shards;
+        std::vector<std::uint64_t> steps;
+        const auto rep = api::Harness{std::uint64_t{1} << 16}.run_scenario(
+            api::family(name), spec, freeze_client_zero(k, &steps));
+        const std::string where = std::string(name) + " shards=" +
+                                  std::to_string(shards) +
+                                  " k=" + std::to_string(k);
+        EXPECT_TRUE(rep.ok()) << where << ": " << rep.summary();
+        for (int p = 1; p < kClients; ++p) {
+          EXPECT_EQ(steps[static_cast<std::size_t>(p)],
+                    kCalls * steps_per_call(p))
+              << where << " client " << p;
+        }
+        const std::uint64_t frozen_calls =
+            k == static_cast<int>(steps_per_call(0)) ? 1 : 0;
+        EXPECT_EQ(rep.calls, (kClients - 1) * kCalls + frozen_calls)
+            << where;
       }
-    });
+    }
   }
-};
-
-TEST(ShardWedgeDifferential, NativePreemptedCombinerIsStolenFrom) {
-  NativeStallRun run(/*allow_steal=*/true);
-  const auto stats = run.inst->run_native(4);
-  EXPECT_EQ(stats.calls, 24u);
-  ASSERT_TRUE(run.parked.load()) << "hook never caught a lease holder";
-  const auto shard_stats = run.inst->shard_stats();
-  EXPECT_GE(shard_stats.lease_steals, 1u)
-      << "parked combiner was expected to be deposed";
-  // Post-hoc history checks: the zombie's late pass must not have
-  // double-served or disordered anything.
-  EXPECT_TRUE(run.inst->cross_shard_monotonicity().ok());
-  const auto composed = run.inst->composed_calls();
-  EXPECT_EQ(composed.size(), 24u);
-  const auto once = verify::check_at_most_once_service(composed.records);
-  EXPECT_TRUE(once.ok()) << once.to_string();
 }
 
-TEST(ShardWedgeDifferential, NativeNoStealFallsBackToBoundedPark) {
-  // Same stall, stealing disabled: nobody may depose the parked holder, so
-  // the lease word never moves and the park ends only through its yield
-  // bound. The run still completes (bounded park, not a crash) with zero
-  // steals — the differential's control arm on real threads.
-  NativeStallRun run(/*allow_steal=*/false);
-  const auto stats = run.inst->run_native(4);
-  EXPECT_EQ(stats.calls, 24u);
-  ASSERT_TRUE(run.parked.load()) << "hook never caught a lease holder";
-  const auto shard_stats = run.inst->shard_stats();
-  EXPECT_EQ(shard_stats.lease_steals, 0u);
-  EXPECT_GE(shard_stats.lease_expiries, 1u)
-      << "waiters should at least have counted the stuck holder";
-  const auto once =
-      verify::check_at_most_once_service(run.inst->composed_calls().records);
-  EXPECT_TRUE(once.ok()) << once.to_string();
-}
-
-TEST(ShardFaultRecovery, RestartedClientsDrainOrphanedRequests) {
-  // Crash WITH restart through the sharded path: a victim that dies between
-  // publishing a request and taking its response leaves an orphan in its
-  // slot; the restarted program must drain it (wait it out, discard the
-  // stale-epoch response) before publishing fresh — adopting it would break
-  // cross-shard monotonicity. maxscan only: restarting one-shot programs
-  // violates their own-register discipline, same as the unsharded families.
+TEST(ShardFaultRecovery, RestartedClientsFinishClean) {
+  // Crash WITH restart through the sharded path: a restarted client runs
+  // its program again from call 0, and every history layer stays clean.
+  // maxscan only: restarting one-shot programs violates their own-register
+  // discipline, same as the unsharded families.
   runtime::CrashPlan plan;
   plan.crashes = 4;
   plan.restart = true;
@@ -165,7 +95,6 @@ TEST(ShardFaultRecovery, RestartedClientsDrainOrphanedRequests) {
     spec.calls_per_process = 3;
     spec.seed = seed;
     spec.shard.shards = 2;
-    spec.shard.steal_budget = 12;
     const auto rep = api::Harness{}.run_scenario(
         api::family("maxscan"), spec, api::crash_restart(plan));
     EXPECT_TRUE(rep.ok()) << "seed=" << seed << ": " << rep.summary();
