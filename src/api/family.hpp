@@ -1,21 +1,24 @@
 // TimestampFamily: one first-class descriptor per timestamp implementation.
 //
-// Every algorithm in this library used to expose its own ad-hoc
-// make_X_system / X_factory / X_program trio with divergent value and log
-// types, so every comparison (tests, space benches, examples) was hand-wired
-// per family. A TimestampFamily erases those differences behind:
+// A TimestampFamily erases the per-family value, timestamp and comparator
+// types behind:
 //   - metadata: name, lifetime kind, timestamp universe, paper reference,
-//     the paper's space bound as a callable of the scenario;
-//   - make(spec): a live FamilyInstance — simulated system + typed call log
-//     behind the GenericCallLog view;
+//     the registers it allocates as a callable of the scenario, and the
+//     declared register footprint;
+//   - make(spec): a live FamilyInstance — simulated system + the history it
+//     records, behind the GenericCallLog view;
 //   - factory(spec): a deterministic runtime::SystemFactory for the
 //     replay-based adversaries and the exhaustive explorer;
 //   - make_native(spec): the same scenario as a native FamilyInstance that
 //     runs on real hardware threads (src/native/ over the atomicmem
-//     backend) and records a checkable history.
+//     backend) and records a checkable history;
+//   - make_sharded(spec): the family as a sharded service (src/shard/).
 //
-// api::registry() enumerates all families; harness.hpp composes any of them
-// with any schedule source and the history checkers.
+// Every registered family is derived from one engine (api/engine.hpp,
+// api/engine_family.hpp); the fields stay plain data and callables so tests
+// and tools can build or patch a family field by field. api::registry()
+// enumerates all families; harness.hpp composes any of them with any
+// schedule source and the history checkers.
 #pragma once
 
 #include <cstdint>
@@ -49,9 +52,9 @@ using PairFilter =
                        const runtime::CallRecord<Ts>&,
                        const runtime::CallRecord<Ts>&)>;
 
-/// Erases a typed record vector to the GenericCallLog the checkers consume.
-/// Shared by the simulated instance (log snapshot) and the native instance
-/// (recorder merge) so both backends feed the checkers through one code path.
+/// Erases a typed record vector to the GenericCallLog the checkers consume:
+/// every instance, on either backend and sharded or not, feeds the checkers
+/// through this one path.
 template <class Ts, class Cmp>
 [[nodiscard]] GenericCallLog erase_call_log(
     std::vector<runtime::CallRecord<Ts>> records, Cmp cmp,
@@ -99,10 +102,10 @@ struct NativeRunStats {
 };
 
 /// A live scenario: the simulated system plus the typed history it records,
-/// viewed type-erased. The instance owns the typed CallLog that the system's
-/// programs write into, so it must outlive the system — take_system() hands
-/// out ownership of the system alone (explorer composition) while the logs
-/// stay with the instance.
+/// viewed type-erased. The instance owns what the system's programs point
+/// into (the family's engine and the history recorder), so it must outlive
+/// the system — take_system() hands out ownership of the system alone
+/// (explorer composition) while the history stays with the instance.
 class FamilyInstance {
  public:
   virtual ~FamilyInstance() = default;
@@ -142,42 +145,6 @@ class FamilyInstance {
  protected:
   FamilyInstance() = default;
   std::unique_ptr<runtime::ISystem> sys_;
-};
-
-/// The bridge from a typed implementation (register value V, timestamp Ts,
-/// comparator Cmp) to the erased FamilyInstance. Construction is two-phase
-/// because the system's programs capture a pointer to the instance-owned log:
-///   auto inst = std::make_unique<TypedFamilyInstance<V, Ts, Cmp>>();
-///   inst->adopt(make_X_system(..., &inst->log()));
-template <class V, class Ts, class Cmp>
-class TypedFamilyInstance final : public FamilyInstance {
- public:
-  using PairFilter = api::PairFilter<Ts>;
-
-  explicit TypedFamilyInstance(Cmp cmp = {}, PairFilter filter = nullptr)
-      : cmp_(std::move(cmp)), filter_(std::move(filter)) {}
-
-  [[nodiscard]] runtime::CallLog<Ts>& log() { return log_; }
-
-  void adopt(std::unique_ptr<runtime::System<V>> sys) {
-    sys_ = std::move(sys);
-  }
-
-  void set_metrics(std::function<Metrics()> fn) { metrics_fn_ = std::move(fn); }
-
-  [[nodiscard]] GenericCallLog calls() const override {
-    return erase_call_log<Ts>(log_.snapshot(), cmp_, filter_);
-  }
-
-  [[nodiscard]] Metrics metrics() const override {
-    return metrics_fn_ ? metrics_fn_() : Metrics{};
-  }
-
- private:
-  runtime::CallLog<Ts> log_;
-  Cmp cmp_;
-  PairFilter filter_;
-  std::function<Metrics()> metrics_fn_;
 };
 
 /// Register-ownership discipline of a family (paper, Sections 3-6): who may

@@ -118,6 +118,56 @@ void fill_native_report(const NativeRunStats& st, ScenarioReport& rep) {
   rep.memory_arena_bytes = st.memory_arena_bytes;
 }
 
+/// Drives a simulated system under a driver, crash or jitter source, in the
+/// spec's recording mode and seeded from spec.seed, and fills the report's
+/// run fields. Shared by the plain and the sharded paths.
+void drive_sim(runtime::ISystem& sys, const ScenarioSpec& spec,
+               const ScheduleSource& source, std::uint64_t max_steps,
+               ScenarioReport& rep) {
+  if (spec.recording != runtime::RecordingMode::kFull) {
+    sys.set_recording_mode(spec.recording);
+  }
+  util::Rng rng(spec.seed);
+  bool crash_survivors = false;
+  switch (source.kind) {
+    case ScheduleSource::Kind::kDriver: {
+      STAMPED_ASSERT_MSG(source.drive != nullptr,
+                         "schedule source '" << source.name
+                                             << "' has no driver");
+      source.drive(sys, rng, max_steps);
+      break;
+    }
+    case ScheduleSource::Kind::kCrash: {
+      const runtime::CrashStats st =
+          runtime::run_crash_restart(sys, rng, source.crash, max_steps);
+      rep.crashes = st.crashes;
+      rep.restarts = st.restarts;
+      rep.crashed_down = st.crashed_down;
+      crash_survivors = st.survivors_finished;
+      break;
+    }
+    case ScheduleSource::Kind::kJitter: {
+      const runtime::JitterStats st =
+          runtime::run_jittered(sys, rng, source.jitter, max_steps);
+      rep.stalls = st.stalls;
+      rep.ticks = st.ticks;
+      break;
+    }
+    default:
+      STAMPED_ASSERT(false);  // the other kinds are not step drivers
+  }
+  runtime::check_no_failures(sys);
+  rep.all_finished = sys.all_finished();
+  // Crash runs legitimately leave crashed-and-down processes unfinished;
+  // the wait-freedom verdict is the crash driver's survivor accounting.
+  rep.survivors_finished = source.kind == ScheduleSource::Kind::kCrash
+                               ? crash_survivors
+                               : rep.all_finished;
+  rep.steps = sys.steps_taken();
+  rep.calls = sys.calls_completed_total();
+  rep.registers_written = sys.registers_written();
+}
+
 /// The sharded-service path of run_scenario (ScenarioSpec::shard.shards
 /// > 0): builds a shard::ShardedInstance, drives it on the requested
 /// backend, and checks three layers of history — the composed global log
@@ -147,49 +197,7 @@ ScenarioReport run_sharded_scenario(const TimestampFamily& family,
   if (source.kind == ScheduleSource::Kind::kNativeOS) {
     fill_native_report(inst->run_native(spec.native_threads), rep);
   } else {
-    runtime::ISystem& sys = inst->system();
-    if (spec.recording != runtime::RecordingMode::kFull) {
-      sys.set_recording_mode(spec.recording);
-    }
-    util::Rng rng(spec.seed);
-    bool crash_survivors = false;
-    switch (source.kind) {
-      case ScheduleSource::Kind::kDriver: {
-        STAMPED_ASSERT_MSG(source.drive != nullptr,
-                           "schedule source '" << source.name
-                                               << "' has no driver");
-        source.drive(sys, rng, max_steps);
-        break;
-      }
-      case ScheduleSource::Kind::kCrash: {
-        const runtime::CrashStats st =
-            runtime::run_crash_restart(sys, rng, source.crash, max_steps);
-        rep.crashes = st.crashes;
-        rep.restarts = st.restarts;
-        rep.crashed_down = st.crashed_down;
-        crash_survivors = st.survivors_finished;
-        break;
-      }
-      case ScheduleSource::Kind::kJitter: {
-        const runtime::JitterStats st =
-            runtime::run_jittered(sys, rng, source.jitter, max_steps);
-        rep.stalls = st.stalls;
-        rep.ticks = st.ticks;
-        break;
-      }
-      default:
-        STAMPED_ASSERT(false);  // kinds filtered above
-    }
-    runtime::check_no_failures(sys);
-    rep.all_finished = sys.all_finished();
-    // Crash runs legitimately leave crashed-and-down processes unfinished;
-    // the wait-freedom verdict is the crash driver's survivor accounting.
-    rep.survivors_finished = source.kind == ScheduleSource::Kind::kCrash
-                                 ? crash_survivors
-                                 : rep.all_finished;
-    rep.steps = sys.steps_taken();
-    rep.calls = sys.calls_completed_total();
-    rep.registers_written = sys.registers_written();
+    drive_sim(inst->system(), spec, source, max_steps, rep);
   }
 
   const shard::ShardRunStats st = inst->shard_stats();
@@ -670,51 +678,10 @@ ScenarioReport Harness::run_scenario(const TimestampFamily& family,
   }
 
   auto inst = family.make(spec);
-  runtime::ISystem& sys = inst->system();
-  if (spec.recording != runtime::RecordingMode::kFull) {
-    sys.set_recording_mode(spec.recording);
-  }
-  util::Rng rng(spec.seed);
-  switch (source.kind) {
-    case ScheduleSource::Kind::kDriver: {
-      STAMPED_ASSERT_MSG(source.drive != nullptr,
-                         "schedule source '" << source.name
-                                             << "' has no driver");
-      source.drive(sys, rng, max_steps_);
-      rep.survivors_finished = sys.all_finished();
-      break;
-    }
-    case ScheduleSource::Kind::kCrash: {
-      const runtime::CrashStats st =
-          runtime::run_crash_restart(sys, rng, source.crash, max_steps_);
-      rep.crashes = st.crashes;
-      rep.restarts = st.restarts;
-      rep.crashed_down = st.crashed_down;
-      rep.survivors_finished = st.survivors_finished;
-      break;
-    }
-    case ScheduleSource::Kind::kJitter: {
-      const runtime::JitterStats st =
-          runtime::run_jittered(sys, rng, source.jitter, max_steps_);
-      rep.stalls = st.stalls;
-      rep.ticks = st.ticks;
-      rep.survivors_finished = sys.all_finished();
-      break;
-    }
-    case ScheduleSource::Kind::kExhaustive:
-    case ScheduleSource::Kind::kFuzzer:
-    case ScheduleSource::Kind::kNativeOS:
-      STAMPED_ASSERT(false);  // handled above
-  }
-  runtime::check_no_failures(sys);
-
-  rep.all_finished = sys.all_finished();
-  rep.steps = sys.steps_taken();
-  rep.calls = sys.calls_completed_total();
-  rep.registers_written = sys.registers_written();
+  drive_sim(inst->system(), spec, source, max_steps_, rep);
   rep.metrics = inst->metrics();
   if (checkers.timestamp_property || checkers.per_process_monotonicity) {
-    // calls() snapshots the whole typed history; skip it when no checker
+    // calls() merges the whole recorded history; skip it when no checker
     // will look (the space benches run with Checkers::none()).
     apply_checkers(inst->calls(), checkers, rep);
   }

@@ -1,457 +1,16 @@
 #include "api/registry.hpp"
 
-#include <memory>
-#include <utility>
-
-#include "atomicmem/atomic_memory.hpp"
-#include "core/bounded_longlived.hpp"
-#include "core/fetchadd_baseline.hpp"
-#include "core/growing_oneshot.hpp"
-#include "core/maxscan_longlived.hpp"
-#include "core/simple_oneshot.hpp"
-#include "core/sqrt_oneshot.hpp"
-#include "core/timestamp.hpp"
-#include "native/native_instance.hpp"
-#include "native/native_system.hpp"
-#include "shard/engines.hpp"
-#include "shard/sharded_service.hpp"
-#include "util/bounds.hpp"
+#include "api/engine_family.hpp"
+#include "api/engines.hpp"
 
 namespace stamped::api {
 
-namespace {
-
-/// The bounded family's modulus for a scenario: the explicit universe_bound,
-/// or the smallest window covering the whole execution.
-std::int32_t bounded_modulus(const ScenarioSpec& spec) {
-  return spec.universe_bound > 0
-             ? spec.universe_bound
-             : core::bounded_modulus_for(spec.calls_per_process);
-}
-
-template <class V>
-using NativeSys = native::NativeSystem<V>;
-
-/// Bitmask of every pid in the scenario (FootprintSpec masks; n <= 64).
-constexpr std::uint64_t all_pids(int n) {
-  return n >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
-}
-
-constexpr std::uint64_t pid_bit(int p) { return std::uint64_t{1} << p; }
-
-constexpr std::uint32_t op_bit(runtime::OpKind k) {
-  return 1u << static_cast<unsigned>(k);
-}
-
-TimestampFamily maxscan_family() {
-  TimestampFamily fam;
-  fam.name = "maxscan";
-  fam.summary = "long-lived collect/max+1 comparator, n SWMR registers";
-  fam.paper_ref = "Theorem 1.1 shape (Theta(n) comparator)";
-  fam.lifetime = Lifetime::kLongLived;
-  fam.universe = "integers, compare is <";
-  fam.max_calls_per_process = 0;
-  fam.registers_allocated = [](const ScenarioSpec& spec) {
-    return util::bounds::longlived_upper_maxscan(spec.n);
-  };
-  fam.writes_full_allocation = true;
-  // Paper SWMR layout: register p belongs to process p; everyone collects.
-  fam.footprint.ownership = Ownership::kSWMR;
-  fam.footprint.writer_mask = [](const ScenarioSpec& spec, int reg) {
-    return reg >= 0 && reg < spec.n ? pid_bit(reg) : std::uint64_t{0};
-  };
-  fam.footprint.may_be_unwritten = [](const ScenarioSpec&, int) {
-    return false;
-  };
-  fam.make = [](const ScenarioSpec& spec) -> std::unique_ptr<FamilyInstance> {
-    auto inst = std::make_unique<
-        TypedFamilyInstance<std::int64_t, std::int64_t, core::Compare>>();
-    inst->adopt(core::make_maxscan_system(spec.n, spec.calls_per_process,
-                                          &inst->log()));
-    return inst;
-  };
-  fam.factory = [](const ScenarioSpec& spec) {
-    return core::maxscan_factory(spec.n, spec.calls_per_process);
-  };
-  fam.make_native = [](const ScenarioSpec& spec)
-      -> std::unique_ptr<FamilyInstance> {
-    auto inst = std::make_unique<native::TypedNativeInstance<
-        std::int64_t, std::int64_t, core::Compare>>(spec.n);
-    std::vector<NativeSys<std::int64_t>::Program> programs;
-    for (int p = 0; p < spec.n; ++p) {
-      auto* arena = &inst->recorder().arena(p);
-      programs.push_back(
-          [p, spec, arena](atomicmem::DirectCtx<std::int64_t>& ctx) {
-            return core::maxscan_program(ctx, p, spec.n,
-                                         spec.calls_per_process, arena);
-          });
-    }
-    inst->adopt(std::make_unique<NativeSys<std::int64_t>>(
-        spec.n, 0, std::move(programs)));
-    return inst;
-  };
-  fam.make_sharded = [](const ScenarioSpec& spec) {
-    return shard::make_sharded<shard::MaxscanEngine>(spec);
-  };
-  return fam;
-}
-
-TimestampFamily simple_oneshot_family() {
-  TimestampFamily fam;
-  fam.name = "simple-oneshot";
-  fam.summary = "Section 5 simple one-shot algorithm, ceil(n/2) registers";
-  fam.paper_ref = "Section 5 (Algorithm 2)";
-  fam.lifetime = Lifetime::kOneShot;
-  fam.universe = "integers in [1, 2*ceil(n/2)], compare is <";
-  fam.max_calls_per_process = 1;
-  fam.registers_allocated = [](const ScenarioSpec& spec) {
-    return util::bounds::oneshot_upper_simple(spec.n);
-  };
-  fam.writes_full_allocation = true;
-  // Algorithm 2 pairs processes 2r and 2r+1 on register r.
-  fam.footprint.ownership = Ownership::kMWMR;
-  fam.footprint.writer_mask = [](const ScenarioSpec& spec, int reg) {
-    std::uint64_t mask = 0;
-    if (2 * reg < spec.n) mask |= pid_bit(2 * reg);
-    if (2 * reg + 1 < spec.n) mask |= pid_bit(2 * reg + 1);
-    return mask;
-  };
-  fam.footprint.may_be_unwritten = [](const ScenarioSpec&, int) {
-    return false;
-  };
-  fam.make = [](const ScenarioSpec& spec) -> std::unique_ptr<FamilyInstance> {
-    auto inst = std::make_unique<
-        TypedFamilyInstance<std::int64_t, std::int64_t, core::Compare>>();
-    inst->adopt(core::make_simple_oneshot_system(spec.n, &inst->log()));
-    return inst;
-  };
-  fam.factory = [](const ScenarioSpec& spec) {
-    return core::simple_oneshot_factory(spec.n);
-  };
-  fam.make_native = [](const ScenarioSpec& spec)
-      -> std::unique_ptr<FamilyInstance> {
-    STAMPED_ASSERT(spec.calls_per_process == 1);
-    auto inst = std::make_unique<native::TypedNativeInstance<
-        std::int64_t, std::int64_t, core::Compare>>(spec.n);
-    std::vector<NativeSys<std::int64_t>::Program> programs;
-    for (int p = 0; p < spec.n; ++p) {
-      auto* arena = &inst->recorder().arena(p);
-      programs.push_back(
-          [p, spec, arena](atomicmem::DirectCtx<std::int64_t>& ctx) {
-            return core::simple_getts_program(ctx, p, spec.n, arena);
-          });
-    }
-    inst->adopt(std::make_unique<NativeSys<std::int64_t>>(
-        core::simple_oneshot_registers(spec.n), 0, std::move(programs)));
-    return inst;
-  };
-  fam.make_sharded = [](const ScenarioSpec& spec) {
-    return shard::make_sharded<shard::SimpleEngine>(spec);
-  };
-  return fam;
-}
-
-/// Shared between sqrt-oneshot and growing-oneshot, which differ only in the
-/// register pool: Algorithm 4 with `m` registers, one TypedFamilyInstance
-/// wired to a SqrtStats metrics source.
-std::unique_ptr<FamilyInstance> make_alg4_instance(
-    const ScenarioSpec& spec, bool growing) {
-  auto inst = std::make_unique<TypedFamilyInstance<
-      core::TsRecord, core::PairTimestamp, core::Compare>>();
-  auto stats = std::make_shared<core::SqrtStats>();
-  if (growing) {
-    inst->adopt(core::make_growing_bounded_system(
-        spec.n, spec.calls_per_process, &inst->log(), stats.get()));
-  } else {
-    inst->adopt(core::make_sqrt_bounded_system(
-        spec.n, spec.calls_per_process, &inst->log(), stats.get()));
-  }
-  inst->set_metrics([stats] {
-    return Metrics{
-        {"scans", static_cast<std::int64_t>(stats->scans().size())}};
-  });
-  return inst;
-}
-
-/// Native counterpart of make_alg4_instance: Algorithm 4 over `m` real
-/// atomic TsRecord registers, recording into per-process arenas, SqrtStats
-/// (mutex-guarded — metrics, not the recorder hot path) as the metrics
-/// source.
-std::unique_ptr<FamilyInstance> make_alg4_native(
-    const ScenarioSpec& spec, int m) {
-  auto inst = std::make_unique<native::TypedNativeInstance<
-      core::TsRecord, core::PairTimestamp, core::Compare>>(spec.n);
-  auto stats = std::make_shared<core::SqrtStats>();
-  std::vector<NativeSys<core::TsRecord>::Program> programs;
-  for (int p = 0; p < spec.n; ++p) {
-    auto* arena = &inst->recorder().arena(p);
-    programs.push_back(
-        [p, spec, m, arena, stats](atomicmem::DirectCtx<core::TsRecord>& ctx) {
-          return core::sqrt_calls_program(ctx, p, spec.calls_per_process, m,
-                                          arena, stats.get());
-        });
-  }
-  inst->adopt(std::make_unique<NativeSys<core::TsRecord>>(
-      m, core::TsRecord::bottom(), std::move(programs)));
-  inst->set_metrics([stats] {
-    return Metrics{
-        {"scans", static_cast<std::int64_t>(stats->scans().size())}};
-  });
-  return inst;
-}
-
-TimestampFamily sqrt_oneshot_family() {
-  TimestampFamily fam;
-  fam.name = "sqrt-oneshot";
-  fam.summary =
-      "Section 6 Algorithm 4, ceil(2*sqrt(M)) registers (Theorem 1.3)";
-  fam.paper_ref = "Section 6 (Algorithms 3+4)";
-  fam.lifetime = Lifetime::kOneShot;
-  fam.universe = "pairs (rnd, turn), compare is lexicographic <";
-  fam.max_calls_per_process = 0;  // calls > 1: the bounded-M generalization
-  fam.registers_allocated = [](const ScenarioSpec& spec) {
-    return static_cast<std::int64_t>(
-        core::sqrt_oneshot_registers(spec.total_calls()));
-  };
-  fam.writes_full_allocation = false;  // the sentinel is never written
-  // Algorithm 4: any process may write any frontier register; the last of
-  // the ceil(2*sqrt(M)) registers is the paper's never-written sentinel.
-  // Frontier registers beyond the phases an execution actually starts may
-  // legitimately stay unwritten (register 0 never may: the first getTS
-  // call's starter write lands there).
-  fam.footprint.ownership = Ownership::kMWMRSentinel;
-  fam.footprint.writer_mask = [](const ScenarioSpec& spec, int reg) {
-    const int m = core::sqrt_oneshot_registers(spec.total_calls());
-    return reg >= 0 && reg < m - 1 ? all_pids(spec.n) : std::uint64_t{0};
-  };
-  fam.footprint.may_be_unwritten = [](const ScenarioSpec&, int reg) {
-    return reg >= 1;
-  };
-  fam.make = [](const ScenarioSpec& spec) {
-    return make_alg4_instance(spec, /*growing=*/false);
-  };
-  fam.factory = [](const ScenarioSpec& spec) -> runtime::SystemFactory {
-    return [spec]() -> std::unique_ptr<runtime::ISystem> {
-      return core::make_sqrt_bounded_system(spec.n, spec.calls_per_process,
-                                            nullptr, nullptr);
-    };
-  };
-  fam.make_native = [](const ScenarioSpec& spec) {
-    return make_alg4_native(spec,
-                            core::sqrt_oneshot_registers(spec.total_calls()));
-  };
-  fam.make_sharded = [](const ScenarioSpec& spec) {
-    return shard::make_sharded<shard::SqrtEngine>(spec);
-  };
-  return fam;
-}
-
-TimestampFamily growing_oneshot_family() {
-  TimestampFamily fam;
-  fam.name = "growing-oneshot";
-  fam.summary =
-      "Algorithm 4 on an unbounded register pool (no a-priori call bound)";
-  fam.paper_ref = "Section 7 remark (growing generalization)";
-  fam.lifetime = Lifetime::kOneShot;
-  fam.universe = "pairs (rnd, turn), compare is lexicographic <";
-  fam.max_calls_per_process = 0;
-  fam.registers_allocated = [](const ScenarioSpec& spec) {
-    return static_cast<std::int64_t>(core::growing_pool_registers(
-        static_cast<int>(spec.total_calls())));
-  };
-  fam.writes_full_allocation = false;
-  // Growing pool: each getTS call starts at most one phase and invalidation
-  // writes only target already-started phases, so with total_calls() calls
-  // no register at index >= total_calls() is ever written — the pool's tail
-  // (growing_pool_registers adds two) is all sentinel.
-  fam.footprint.ownership = Ownership::kMWMRSentinel;
-  fam.footprint.writer_mask = [](const ScenarioSpec& spec, int reg) {
-    return reg >= 0 && reg < spec.total_calls() ? all_pids(spec.n)
-                                                : std::uint64_t{0};
-  };
-  fam.footprint.may_be_unwritten = [](const ScenarioSpec&, int reg) {
-    return reg >= 1;
-  };
-  fam.make = [](const ScenarioSpec& spec) {
-    return make_alg4_instance(spec, /*growing=*/true);
-  };
-  fam.factory = [](const ScenarioSpec& spec) -> runtime::SystemFactory {
-    return [spec]() -> std::unique_ptr<runtime::ISystem> {
-      return core::make_growing_bounded_system(spec.n, spec.calls_per_process,
-                                               nullptr, nullptr);
-    };
-  };
-  fam.make_native = [](const ScenarioSpec& spec) {
-    return make_alg4_native(spec, core::growing_pool_registers(
-                                      static_cast<int>(spec.total_calls())));
-  };
-  fam.make_sharded = [](const ScenarioSpec& spec) {
-    return shard::make_sharded<shard::GrowingEngine>(spec);
-  };
-  return fam;
-}
-
-TimestampFamily fetchadd_family() {
-  TimestampFamily fam;
-  fam.name = "fetchadd";
-  fam.summary =
-      "non-register fetch&add baseline: one counter, one step per call";
-  fam.paper_ref = "outside the paper's model (throughput baseline)";
-  fam.lifetime = Lifetime::kLongLived;
-  fam.universe = "integers, compare is <";
-  fam.max_calls_per_process = 0;
-  fam.registers_allocated = [](const ScenarioSpec&) {
-    return std::int64_t{1};
-  };
-  fam.writes_full_allocation = true;
-  // Everyone RMWs the single counter; the only op kind is fetch&add.
-  fam.footprint.ownership = Ownership::kMWMR;
-  fam.footprint.writer_mask = [](const ScenarioSpec& spec, int reg) {
-    return reg == 0 ? all_pids(spec.n) : std::uint64_t{0};
-  };
-  fam.footprint.may_be_unwritten = [](const ScenarioSpec&, int) {
-    return false;
-  };
-  fam.footprint.allowed_ops = op_bit(runtime::OpKind::kFetchAdd);
-  fam.make = [](const ScenarioSpec& spec) -> std::unique_ptr<FamilyInstance> {
-    auto inst = std::make_unique<
-        TypedFamilyInstance<std::int64_t, std::int64_t, core::Compare>>();
-    inst->adopt(core::make_fetchadd_system(spec.n, spec.calls_per_process,
-                                           &inst->log()));
-    return inst;
-  };
-  fam.factory = [](const ScenarioSpec& spec) {
-    return core::fetchadd_factory(spec.n, spec.calls_per_process);
-  };
-  fam.make_native = [](const ScenarioSpec& spec)
-      -> std::unique_ptr<FamilyInstance> {
-    auto inst = std::make_unique<native::TypedNativeInstance<
-        std::int64_t, std::int64_t, core::Compare>>(spec.n);
-    std::vector<NativeSys<std::int64_t>::Program> programs;
-    for (int p = 0; p < spec.n; ++p) {
-      auto* arena = &inst->recorder().arena(p);
-      programs.push_back(
-          [p, spec, arena](atomicmem::DirectCtx<std::int64_t>& ctx) {
-            return core::fetchadd_program(ctx, p, spec.calls_per_process,
-                                          arena);
-          });
-    }
-    inst->adopt(std::make_unique<NativeSys<std::int64_t>>(
-        1, 0, std::move(programs)));
-    return inst;
-  };
-  fam.make_sharded = [](const ScenarioSpec& spec) {
-    return shard::make_sharded<shard::FetchAddEngine>(spec);
-  };
-  return fam;
-}
-
-/// The bounded family's obligation filter for modulus `k`. When the window
-/// covers the whole execution (K >= 2*calls + 1, the auto default) the
-/// UNCONDITIONAL property must hold — same bar as the unbounded families, so
-/// no pair filter. Only a deliberately small universe_bound puts the run in
-/// the recycling regime, where ordered pairs outside the window carry no
-/// obligation. Shared by the simulated and native instance builders.
-PairFilter<core::BoundedTimestamp> bounded_filter(const ScenarioSpec& spec,
-                                                  std::int32_t k) {
-  if (core::bounded_window(k) >= spec.calls_per_process) return nullptr;
-  return [k](const std::vector<runtime::CallRecord<core::BoundedTimestamp>>&
-                 all,
-             const runtime::CallRecord<core::BoundedTimestamp>& a,
-             const runtime::CallRecord<core::BoundedTimestamp>& b) {
-    return core::bounded_pair_within_window(all, a, b, k);
-  };
-}
-
-TimestampFamily bounded_family() {
-  TimestampFamily fam;
-  fam.name = "bounded";
-  fam.summary =
-      "bounded-universe long-lived object (Haldar-Vitanyi style), "
-      "labels in Z_K^n";
-  fam.paper_ref = "beyond the source paper (see PAPERS.md)";
-  fam.lifetime = Lifetime::kLongLived;
-  fam.universe = "vectors in Z_K^n, compare is windowed cyclic dominance";
-  fam.max_calls_per_process = 0;
-  fam.registers_allocated = [](const ScenarioSpec& spec) {
-    return static_cast<std::int64_t>(spec.n);
-  };
-  fam.writes_full_allocation = true;
-  // Haldar-Vitanyi assumes one writer per traceable variable: register p
-  // holds process p's label and only p rewrites it.
-  fam.footprint.ownership = Ownership::kSWMR;
-  fam.footprint.writer_mask = [](const ScenarioSpec& spec, int reg) {
-    return reg >= 0 && reg < spec.n ? pid_bit(reg) : std::uint64_t{0};
-  };
-  fam.footprint.may_be_unwritten = [](const ScenarioSpec&, int) {
-    return false;
-  };
-  fam.make = [](const ScenarioSpec& spec) -> std::unique_ptr<FamilyInstance> {
-    using Instance = TypedFamilyInstance<
-        core::BoundedLabel, core::BoundedTimestamp, core::BoundedCompare>;
-    const std::int32_t k = bounded_modulus(spec);
-    auto inst = std::make_unique<Instance>(core::BoundedCompare{},
-                                           bounded_filter(spec, k));
-    auto stats = std::make_shared<core::BoundedStats>();
-    inst->adopt(core::make_bounded_system(spec.n, spec.calls_per_process, k,
-                                          &inst->log(), stats.get()));
-    inst->set_metrics([stats] {
-      return Metrics{
-          {"wraps", static_cast<std::int64_t>(stats->wraps())},
-          {"collects", static_cast<std::int64_t>(stats->collects())}};
-    });
-    return inst;
-  };
-  fam.factory = [](const ScenarioSpec& spec) {
-    return core::bounded_factory(spec.n, spec.calls_per_process,
-                                 spec.universe_bound);
-  };
-  fam.make_native = [](const ScenarioSpec& spec)
-      -> std::unique_ptr<FamilyInstance> {
-    const std::int32_t k = bounded_modulus(spec);
-    auto inst = std::make_unique<native::TypedNativeInstance<
-        core::BoundedLabel, core::BoundedTimestamp, core::BoundedCompare>>(
-        spec.n, core::BoundedCompare{}, bounded_filter(spec, k));
-    auto stats = std::make_shared<core::BoundedStats>();
-    std::vector<NativeSys<core::BoundedLabel>::Program> programs;
-    for (int p = 0; p < spec.n; ++p) {
-      auto* arena = &inst->recorder().arena(p);
-      programs.push_back(
-          [p, spec, k, arena,
-           stats](atomicmem::DirectCtx<core::BoundedLabel>& ctx) {
-            return core::bounded_program(ctx, p, spec.n, k,
-                                         spec.calls_per_process, arena,
-                                         stats.get());
-          });
-    }
-    inst->adopt(std::make_unique<NativeSys<core::BoundedLabel>>(
-        spec.n, core::BoundedLabel{}, std::move(programs)));
-    inst->set_metrics([stats] {
-      return Metrics{
-          {"wraps", static_cast<std::int64_t>(stats->wraps())},
-          {"collects", static_cast<std::int64_t>(stats->collects())}};
-    });
-    return inst;
-  };
-  fam.make_sharded = [](const ScenarioSpec& spec) {
-    return shard::make_sharded<shard::BoundedEngine>(spec);
-  };
-  return fam;
-}
-
-}  // namespace
-
 const std::vector<TimestampFamily>& registry() {
-  static const std::vector<TimestampFamily> families = [] {
-    std::vector<TimestampFamily> fams;
-    fams.push_back(maxscan_family());
-    fams.push_back(simple_oneshot_family());
-    fams.push_back(sqrt_oneshot_family());
-    fams.push_back(growing_oneshot_family());
-    fams.push_back(fetchadd_family());
-    fams.push_back(bounded_family());
-    return fams;
-  }();
+  static const std::vector<TimestampFamily> families = {
+      engine_family<MaxscanEngine>(),  engine_family<SimpleEngine>(),
+      engine_family<SqrtEngine>(),     engine_family<GrowingEngine>(),
+      engine_family<FetchAddEngine>(), engine_family<BoundedEngine>(),
+  };
   return families;
 }
 

@@ -62,7 +62,8 @@ struct ScenarioSpec {
   std::uint64_t seed = 1;      ///< RNG seed for randomized schedule sources
   /// Recording mode for the simulated system. kCountsOnly skips per-step
   /// trace/view/observer bookkeeping in the hot loop — measurement sweeps
-  /// only; history checkers still work (the CallLog is program-level).
+  /// only; history checkers still work (the programs, not the system,
+  /// append each completed call to the instance's history recorder).
   /// The exhaustive-explorer schedule source requires kFull and rejects
   /// anything else.
   runtime::RecordingMode recording = runtime::RecordingMode::kFull;

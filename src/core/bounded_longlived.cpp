@@ -23,6 +23,15 @@ std::string BoundedTimestamp::repr() const {
   return os.str();
 }
 
+std::int32_t bounded_modulus(int calls_per_process,
+                             std::int32_t universe_bound) {
+  const std::int32_t k = universe_bound > 0
+                             ? universe_bound
+                             : bounded_modulus_for(calls_per_process);
+  STAMPED_ASSERT_MSG(k >= 3, "bounded modulus must be >= 3, got " << k);
+  return k;
+}
+
 int bounded_bits_per_register(std::int32_t modulus) {
   STAMPED_ASSERT(modulus >= 2);
   return util::ceil_log2(modulus) + util::ceil_log2(modulus + 1);
@@ -69,9 +78,7 @@ std::unique_ptr<runtime::System<BoundedLabel>> make_bounded_system(
     int n, int calls_per_process, std::int32_t modulus,
     runtime::CallLog<BoundedTimestamp>* log, BoundedStats* stats) {
   STAMPED_ASSERT(n >= 1 && calls_per_process >= 1);
-  if (modulus <= 0) modulus = bounded_modulus_for(calls_per_process);
-  STAMPED_ASSERT_MSG(modulus >= 3,
-                     "bounded modulus must be >= 3, got " << modulus);
+  modulus = bounded_modulus(calls_per_process, modulus);
   using Sys = runtime::System<BoundedLabel>;
   std::vector<Sys::Program> programs;
   programs.reserve(static_cast<std::size_t>(n));

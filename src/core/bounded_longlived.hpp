@@ -99,6 +99,12 @@ struct BoundedTimestamp {
   return k < 3 ? 3 : k;
 }
 
+/// The modulus of one bounded object: `universe_bound`, or
+/// bounded_modulus_for(calls_per_process) when it is <= 0. Throws
+/// invariant_error below 3, where the window W = (K-1)/2 orders nothing.
+[[nodiscard]] std::int32_t bounded_modulus(int calls_per_process,
+                                           std::int32_t universe_bound);
+
 /// Bits one BoundedLabel register needs: ceil(log2 K) + ceil(log2 (K+1)).
 [[nodiscard]] int bounded_bits_per_register(std::int32_t modulus);
 
@@ -202,9 +208,9 @@ runtime::ProcessTask bounded_program(Ctx& ctx, int pid, int n,
 }
 
 /// Builds an n-process long-lived bounded system where every process performs
-/// `calls_per_process` getTS calls. `modulus` <= 0 selects
-/// bounded_modulus_for(calls_per_process), the smallest modulus whose window
-/// covers the whole execution; an explicit smaller modulus exercises
+/// `calls_per_process` getTS calls, on bounded_modulus(calls_per_process,
+/// modulus): `modulus` <= 0 selects the smallest modulus whose window covers
+/// the whole execution; an explicit smaller modulus exercises
 /// recycling beyond the window (pair checks must then be filtered through
 /// bounded_pair_within_window).
 std::unique_ptr<runtime::System<BoundedLabel>> make_bounded_system(

@@ -7,20 +7,16 @@
 // and to put the register algorithms' costs in context.
 //
 // Two forms are provided: FetchAddTimestamp wraps a bare std::atomic for
-// hot-loop timing, and fetchadd_program runs the same object as a simulated
-// (or DirectCtx) process via the runtime's kFetchAdd op, so the family is
-// enumerable through api::registry() next to the register algorithms.
+// hot-loop timing, and fetchadd_getts runs the same object as one getTS call
+// of a simulated (or DirectCtx) process via the runtime's kFetchAdd op, so
+// the family is enumerable through api::registry() next to the register
+// algorithms.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "runtime/coro.hpp"
-#include "runtime/history.hpp"
-#include "runtime/scheduler.hpp"
-#include "runtime/system.hpp"
 
 namespace stamped::core {
 
@@ -54,38 +50,6 @@ runtime::SubTask<std::int64_t> fetchadd_getts(Ctx& ctx, int pid,
   }
   ctx.note_call_complete();
   co_return t;
-}
-
-/// Long-lived program: process `pid` performs `num_calls` getTS calls.
-template <class Ctx, class Log>
-runtime::ProcessTask fetchadd_program(Ctx& ctx, int pid, int num_calls,
-                                      Log* log) {
-  for (int k = 0; k < num_calls; ++k) {
-    co_await fetchadd_getts(ctx, pid, k, log);
-  }
-}
-
-/// Builds an n-process simulated fetch&add system (one shared counter
-/// register) where every process performs `calls_per_process` getTS calls.
-inline std::unique_ptr<runtime::System<std::int64_t>> make_fetchadd_system(
-    int n, int calls_per_process, runtime::CallLog<std::int64_t>* log) {
-  STAMPED_ASSERT(n >= 1 && calls_per_process >= 1);
-  using Sys = runtime::System<std::int64_t>;
-  std::vector<Sys::Program> programs;
-  programs.reserve(static_cast<std::size_t>(n));
-  for (int p = 0; p < n; ++p) {
-    programs.push_back([p, calls_per_process, log](Sys::Ctx& ctx) {
-      return fetchadd_program(ctx, p, calls_per_process, log);
-    });
-  }
-  return std::make_unique<Sys>(1, std::int64_t{0}, std::move(programs));
-}
-
-/// Deterministic factory for replay-based adversaries and the explorer.
-inline runtime::SystemFactory fetchadd_factory(int n, int calls_per_process) {
-  return [n, calls_per_process]() -> std::unique_ptr<runtime::ISystem> {
-    return make_fetchadd_system(n, calls_per_process, nullptr);
-  };
 }
 
 }  // namespace stamped::core

@@ -38,6 +38,7 @@
 #include <utility>
 #include <vector>
 
+#include "api/engine.hpp"
 #include "api/family.hpp"
 #include "api/scenario.hpp"
 #include "native/native_system.hpp"
@@ -45,7 +46,6 @@
 #include "runtime/coro.hpp"
 #include "runtime/system.hpp"
 #include "shard/compose.hpp"
-#include "shard/engines.hpp"
 #include "shard/offset_ctx.hpp"
 #include "shard/sharded_instance.hpp"
 #include "util/assert.hpp"
@@ -65,7 +65,7 @@ class ShardedState {
       : engine_(spec),
         layout_(ShardLayout::make(
             spec.n, spec.shard.shards, spec.shard.rehash_calls,
-            [&](int w) { return engine_.shard_registers(w, spec); })),
+            [&](int w) { return Engine::registers(w, spec); })),
         drop_epoch_(spec.shard.drop_epoch),
         calls_per_client_(spec.calls_per_process),
         composed_(layout_.clients) {
@@ -81,7 +81,7 @@ class ShardedState {
   [[nodiscard]] const ShardLayout& layout() const { return layout_; }
   [[nodiscard]] int calls_per_client() const { return calls_per_client_; }
 
-  [[nodiscard]] ShardGeom geom(int s) const {
+  [[nodiscard]] api::Geometry geom(int s) const {
     return {layout_.width[static_cast<std::size_t>(s)],
             layout_.regs[static_cast<std::size_t>(s)]};
   }
@@ -160,57 +160,27 @@ class TypedShardedInstance final : public ShardedInstance {
   using Composed = ComposedTs<Ts>;
 
   explicit TypedShardedInstance(const api::ScenarioSpec& spec)
-      : st_(std::make_unique<ShardedState<Engine>>(spec)) {
-    const ShardLayout& lo = st_->layout();
-    if (spec.backend == api::Backend::kNative) {
-      std::vector<typename native::NativeSystem<V>::Program> programs;
-      programs.reserve(static_cast<std::size_t>(lo.clients));
-      for (int c = 0; c < lo.clients; ++c) {
-        programs.push_back(
-            [st = st_.get(), c](atomicmem::DirectCtx<V>& ctx) {
+      : st_(std::make_unique<ShardedState<Engine>>(spec)),
+        sys_(api::make_scenario_system(
+            spec.backend, st_->layout().clients, st_->layout().total_regs,
+            Engine::initial_value(),
+            [st = st_.get()](auto& ctx, int c) {
               return sharded_client_program(ctx, st, c);
-            });
-      }
-      native_sys_ = std::make_unique<native::NativeSystem<V>>(
-          lo.total_regs, Engine::initial_value(), std::move(programs));
-    } else {
-      using Sys = runtime::System<V>;
-      std::vector<typename Sys::Program> programs;
-      programs.reserve(static_cast<std::size_t>(lo.clients));
-      for (int c = 0; c < lo.clients; ++c) {
-        programs.push_back([st = st_.get(), c](typename Sys::Ctx& ctx) {
-          return sharded_client_program(ctx, st, c);
-        });
-      }
-      sim_sys_ = std::make_unique<Sys>(lo.total_regs, Engine::initial_value(),
-                                       std::move(programs));
-    }
-  }
+            })) {}
 
-  [[nodiscard]] bool native() const override {
-    return native_sys_ != nullptr;
-  }
+  [[nodiscard]] bool native() const override { return sys_.native != nullptr; }
 
   [[nodiscard]] runtime::ISystem& system() override {
-    STAMPED_ASSERT_MSG(sim_sys_ != nullptr,
+    STAMPED_ASSERT_MSG(sys_.sim != nullptr,
                        "sharded instance was built for the native backend");
-    return *sim_sys_;
+    return *sys_.sim;
   }
 
   api::NativeRunStats run_native(int threads) override {
-    STAMPED_ASSERT_MSG(native_sys_ != nullptr,
+    STAMPED_ASSERT_MSG(sys_.native != nullptr,
                        "sharded instance was built for the simulator");
-    native::RunStats raw = native_sys_->run(threads);
-    api::NativeRunStats stats;
-    stats.threads = raw.threads;
-    stats.elapsed_seconds = raw.elapsed_seconds;
-    stats.ops = raw.ops;
-    stats.calls = raw.calls;
-    stats.per_thread_calls = std::move(raw.per_thread_calls);
-    stats.retired_nodes = raw.retired_nodes;
-    stats.memory_arena_bytes = raw.memory_arena_bytes;
-    stats.recorder_arena_bytes = recorder_bytes();
-    return stats;
+    native::RunStats raw = sys_.native->run(threads);
+    return api::native_run_stats(std::move(raw), recorder_bytes());
   }
 
   [[nodiscard]] api::GenericCallLog composed_calls() const override {
@@ -219,8 +189,7 @@ class TypedShardedInstance final : public ShardedInstance {
   }
 
   [[nodiscard]] api::GenericCallLog shard_calls(int s) const override {
-    return api::erase_call_log<Ts>(st_->inner(s).merged(),
-                                   st_->engine().compare(),
+    return api::erase_call_log<Ts>(st_->inner(s).merged(), Cmp{},
                                    st_->engine().filter());
   }
 
@@ -253,7 +222,7 @@ class TypedShardedInstance final : public ShardedInstance {
 
  private:
   [[nodiscard]] ComposedCompare<Ts, Cmp> composed_compare() const {
-    return ComposedCompare<Ts, Cmp>{st_->engine().compare()};
+    return ComposedCompare<Ts, Cmp>{Cmp{}};
   }
 
   [[nodiscard]] std::uint64_t recorder_bytes() const {
@@ -265,8 +234,7 @@ class TypedShardedInstance final : public ShardedInstance {
   }
 
   std::unique_ptr<ShardedState<Engine>> st_;
-  std::unique_ptr<runtime::System<V>> sim_sys_;
-  std::unique_ptr<native::NativeSystem<V>> native_sys_;
+  api::ScenarioSystem<V> sys_;
 };
 
 /// TimestampFamily::make_sharded builder for engine type E.

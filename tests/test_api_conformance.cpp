@@ -6,12 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "analysis/footprint.hpp"
 #include "api/harness.hpp"
 #include "api/registry.hpp"
+#include "shard/sharded_instance.hpp"
+#include "util/assert.hpp"
 #include "util/rng.hpp"
 #include "verify/race_detector.hpp"
 
@@ -468,6 +472,46 @@ TEST_P(FamilyConformance, ReplayFactoryIsDeterministic) {
   }
 }
 
+TEST_P(FamilyConformance, DerivedFormsReplayIdentically) {
+  // make, factory and the 1-shard service are all derived from the family's
+  // one engine: a schedule recorded on one replays through the others to
+  // the same steps, register contents and (pid, call, timestamp) history.
+  api::ScenarioSpec spec;
+  spec.n = 3;
+  spec.calls_per_process = fam().max_calls_per_process == 0 ? 2 : 1;
+  auto live = fam().make(spec);
+  util::Rng rng(spec.seed);
+  runtime::run_random(live->system(), rng, 1u << 16);
+  const std::vector<int> schedule = live->system().executed_schedule();
+
+  auto replayed = fam().factory(spec)();
+  runtime::run_script(*replayed, schedule);
+  api::ScenarioSpec one_shard = spec;
+  one_shard.shard.shards = 1;
+  auto service = fam().make_sharded(one_shard);
+  runtime::run_script(service->system(), schedule);
+
+  const runtime::ISystem& sys = live->system();
+  for (const runtime::ISystem* other : {replayed.get(), &service->system()}) {
+    EXPECT_EQ(other->steps_taken(), sys.steps_taken());
+    ASSERT_EQ(other->num_registers(), sys.num_registers());
+    for (int r = 0; r < sys.num_registers(); ++r) {
+      EXPECT_EQ(other->register_repr(r), sys.register_repr(r))
+          << "register " << r;
+    }
+  }
+  const auto history = [](const api::GenericCallLog& log) {
+    std::vector<std::tuple<int, int, std::string>> out;
+    for (const auto& r : log.records) {
+      out.emplace_back(r.pid, r.call_index, log.ts_repr(r.ts));
+    }
+    return out;
+  };
+  const auto calls = history(live->calls());
+  EXPECT_EQ(calls.size(), static_cast<std::size_t>(spec.total_calls()));
+  EXPECT_EQ(calls, history(service->shard_calls(0)));
+}
+
 TEST(BoundedWindowedConformance, RecyclingRegimeEngagesThePairFilter) {
   // A deliberately small universe (K = 3 < 2*calls + 1) puts the bounded
   // family in the recycling regime: labels wrap, and the registry must wire
@@ -490,6 +534,34 @@ TEST(BoundedWindowedConformance, RecyclingRegimeEngagesThePairFilter) {
   }
   EXPECT_GT(wraps, 0) << "execution never recycled a label: "
                       << report.summary();
+}
+
+TEST(BoundedWindowedConformance, ModulusBelowThreeIsRejectedByEveryForm) {
+  // K = 1 or 2 leaves a window W = (K-1)/2 of 0, under which the pair
+  // filter would release every ordered pair: a run would "pass" without
+  // checking anything. The engine rejects such a modulus, so every form
+  // built from it does, on both backends, sharded or not.
+  for (const std::int32_t k : {1, 2}) {
+    for (const api::Backend backend :
+         {api::Backend::kSim, api::Backend::kNative}) {
+      for (const int shards : {0, 1}) {
+        api::ScenarioSpec spec;
+        spec.n = 3;
+        spec.calls_per_process = 4;
+        spec.universe_bound = k;
+        spec.backend = backend;
+        spec.shard.shards = shards;
+        const api::ScheduleSource source = backend == api::Backend::kNative
+                                               ? api::native_os()
+                                               : api::round_robin();
+        EXPECT_THROW((void)api::Harness{}.run_scenario(
+                         api::family("bounded"), spec, source),
+                     invariant_error)
+            << "K=" << k << " backend=" << api::backend_name(backend)
+            << " shards=" << shards;
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllFamilies, FamilyConformance,

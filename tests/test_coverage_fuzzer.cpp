@@ -9,13 +9,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
+#include "api/engine_family.hpp"
 #include "api/harness.hpp"
 #include "runtime/coro.hpp"
-#include "runtime/history.hpp"
-#include "runtime/system.hpp"
 #include "verify/coverage.hpp"
 
 namespace {
@@ -85,11 +83,9 @@ TEST(CoverageMap, AddExecutionCountsFreshCrossProcessPairsOnly) {
 
 constexpr std::int64_t kBuggyModulus = 4;
 
-using BuggySys = runtime::System<std::int64_t>;
-
-runtime::SubTask<std::int64_t> buggy_getts(
-    BuggySys::Ctx& ctx, int pid, int n, int call_index,
-    runtime::CallLog<std::int64_t>* log) {
+template <class Ctx, class Log>
+runtime::SubTask<std::int64_t> buggy_getts(Ctx& ctx, int pid, int n,
+                                           int call_index, Log* log) {
   const std::uint64_t invoked = ctx.stamp();
   const std::int64_t e = co_await ctx.read(n);  // epoch, read once (the bug)
   std::int64_t mx = 0;
@@ -115,43 +111,33 @@ runtime::SubTask<std::int64_t> buggy_getts(
   co_return ts;
 }
 
-runtime::ProcessTask buggy_program(BuggySys::Ctx& ctx, int pid, int n,
-                                   int num_calls,
-                                   runtime::CallLog<std::int64_t>* log) {
-  for (int k = 0; k < num_calls; ++k) {
-    co_await buggy_getts(ctx, pid, n, k, log);
+/// The seeded bug as a test-local engine: n label registers plus the epoch
+/// register, derived into a family by the same template as the registry's.
+struct BuggyBoundedEngine
+    : api::EngineBase<std::int64_t, std::int64_t, std::less<std::int64_t>> {
+  static constexpr api::FamilyInfo kInfo{
+      .name = "buggy-bounded",
+      .summary = "test-local bounded variant with a stale-epoch recycling bug",
+      .paper_ref = "none (seeded bug for the fuzzer differential)",
+      .lifetime = api::Lifetime::kLongLived,
+      .universe = "epoch*K + label, compared as integers",
+      .writes_full_allocation = true};
+
+  explicit BuggyBoundedEngine(const api::ScenarioSpec&) {}
+
+  static int registers(int width, const api::ScenarioSpec&) {
+    return width + 1;
   }
-}
+
+  template <class Ctx, class Log>
+  runtime::SubTask<Ts> getts(Ctx& ctx, const api::Geometry& g, int pid,
+                             int k, Log* log) {
+    return buggy_getts(ctx, pid, g.width, k, log);
+  }
+};
 
 api::TimestampFamily buggy_bounded_family() {
-  api::TimestampFamily fam;
-  fam.name = "buggy-bounded";
-  fam.summary = "test-local bounded variant with a stale-epoch recycling bug";
-  fam.paper_ref = "none (seeded bug for the fuzzer differential)";
-  fam.lifetime = api::Lifetime::kLongLived;
-  fam.universe = "epoch*K + label, compared as integers";
-  fam.max_calls_per_process = 0;
-  fam.registers_allocated = [](const api::ScenarioSpec& spec) {
-    return static_cast<std::int64_t>(spec.n) + 1;
-  };
-  fam.writes_full_allocation = true;
-  fam.make =
-      [](const api::ScenarioSpec& spec) -> std::unique_ptr<api::FamilyInstance> {
-    auto inst = std::make_unique<api::TypedFamilyInstance<
-        std::int64_t, std::int64_t, std::less<std::int64_t>>>();
-    std::vector<BuggySys::Program> programs;
-    for (int p = 0; p < spec.n; ++p) {
-      programs.push_back(
-          [p, n = spec.n, calls = spec.calls_per_process,
-           log = &inst->log()](BuggySys::Ctx& ctx) {
-            return buggy_program(ctx, p, n, calls, log);
-          });
-    }
-    inst->adopt(std::make_unique<BuggySys>(spec.n + 1, std::int64_t{0},
-                                           std::move(programs)));
-    return inst;
-  };
-  return fam;
+  return api::engine_family<BuggyBoundedEngine>();
 }
 
 api::ScenarioSpec buggy_spec() {

@@ -16,7 +16,6 @@
 #include "core/maxscan_longlived.hpp"
 #include "core/sqrt_oneshot.hpp"
 #include "core/timestamp.hpp"
-#include "native/native_instance.hpp"
 #include "native/native_system.hpp"
 #include "native/recorder.hpp"
 #include "util/assert.hpp"
