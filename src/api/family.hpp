@@ -32,6 +32,7 @@
 #include "runtime/history.hpp"
 #include "runtime/scheduler.hpp"
 #include "runtime/system.hpp"
+#include "verify/hb_checker.hpp"
 
 namespace stamped::shard {
 class ShardedInstance;  // src/shard/sharded_instance.hpp
@@ -74,6 +75,7 @@ template <class Ts, class Cmp>
   g.ts_repr = [typed](std::size_t i) {
     return runtime::value_repr((*typed)[i].ts);
   };
+  g.total_order = verify::DeclaresTotalOrder<Cmp> && !filter;
   if (filter) {
     g.obligated = [typed, f = std::move(filter)](const GenericCallRecord& a,
                                                  const GenericCallRecord& b) {

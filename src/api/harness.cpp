@@ -59,7 +59,9 @@ GenericCallRecord to_generic(const runtime::CallRecord<OpaqueTs>& r) {
   return {r.pid, r.call_index, r.ts.idx, r.invoked_at, r.responded_at};
 }
 
-/// Applies the enabled checkers to `log`, accumulating into `rep`.
+/// Applies the enabled checkers to `log`, accumulating into `rep`: the
+/// O(N log N) sweep forms when the log declares a total order, else the
+/// quadratic forms with the log's pair filter.
 void apply_checkers(const GenericCallLog& log, const Checkers& checkers,
                     ScenarioReport& rep) {
   if (!checkers.timestamp_property && !checkers.per_process_monotonicity) {
@@ -81,8 +83,11 @@ void apply_checkers(const GenericCallLog& log, const Checkers& checkers,
     return log.obligated(to_generic(a), to_generic(b));
   };
   if (checkers.timestamp_property) {
-    const auto r = verify::check_timestamp_property_filtered(
-        records, OpaqueCompare{}, pair_filter);
+    const auto r = log.total_order
+                       ? verify::check_timestamp_property_sweep(
+                             records, OpaqueCompare{})
+                       : verify::check_timestamp_property_filtered(
+                             records, OpaqueCompare{}, pair_filter);
     rep.ordered_pairs += r.ordered_pairs_checked;
     rep.concurrent_pairs += r.concurrent_pairs;
     rep.filtered_pairs += r.filtered_pairs;
@@ -90,8 +95,11 @@ void apply_checkers(const GenericCallLog& log, const Checkers& checkers,
                           r.violations.end());
   }
   if (checkers.per_process_monotonicity) {
-    const auto r = verify::check_per_process_monotonicity_filtered(
-        records, OpaqueCompare{}, pair_filter);
+    const auto r = log.total_order
+                       ? verify::check_per_process_monotonicity_sweep(
+                             records, OpaqueCompare{})
+                       : verify::check_per_process_monotonicity_filtered(
+                             records, OpaqueCompare{}, pair_filter);
     rep.violations.insert(rep.violations.end(), r.violations.begin(),
                           r.violations.end());
   }

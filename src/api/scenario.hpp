@@ -116,6 +116,10 @@ struct GenericCallLog {
   std::function<std::string(std::size_t)> ts_repr;
   std::function<bool(const GenericCallRecord&, const GenericCallRecord&)>
       obligated;
+  /// `before` is a strict total order (its comparator declares
+  /// verify::DeclaresTotalOrder) and `obligated` holds for every pair, so the
+  /// checkers may sort instead of visiting every pair.
+  bool total_order = false;
 
   [[nodiscard]] std::size_t size() const { return records.size(); }
 };

@@ -58,8 +58,12 @@ struct PairTimestamp {
   return a < b;
 }
 
-/// Functor form of compare for generic checkers.
+/// Functor form of compare for generic checkers. Both overloads above are
+/// strict total orders (`<` on integers, lexicographic `<` on pairs), which
+/// lets the history checkers sort timestamps (verify::DeclaresTotalOrder).
 struct Compare {
+  static constexpr bool kTotalOrder = true;
+
   template <class Ts>
   [[nodiscard]] constexpr bool operator()(const Ts& a, const Ts& b) const {
     return compare(a, b);

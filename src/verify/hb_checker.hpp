@@ -13,8 +13,21 @@
 // only for pairs within their recycling window; the *_filtered variants take
 // a pair predicate selecting the ordered pairs that carry an obligation.
 // Irreflexivity and asymmetry are universe-wide and stay unconditional.
+//
+// Two forms of each checker. The quadratic ones visit every pair and are the
+// reference: they take any comparator and any pair filter. The *_sweep forms
+// run in O(N log N) and return the identical report, but only for a
+// comparator that is a strict total order on the recorded timestamps (equal
+// timestamps are the only incomparable ones) and with no pair filter. A
+// comparator declares that with `static constexpr bool kTotalOrder = true`
+// (DeclaresTotalOrder); core::Compare does, the bounded family's windowed
+// cyclic compare and the sharded service's composed compare do not.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -35,6 +48,8 @@ struct HbReport {
 
   [[nodiscard]] bool ok() const { return violations.empty(); }
 
+  friend bool operator==(const HbReport&, const HbReport&) = default;
+
   [[nodiscard]] std::string to_string() const {
     std::ostringstream os;
     os << "ordered_pairs=" << ordered_pairs_checked
@@ -45,6 +60,13 @@ struct HbReport {
     return os.str();
   }
 };
+
+/// A comparator that declares itself a strict total order on timestamps:
+/// irreflexive, asymmetric and transitive, with equal timestamps the only
+/// incomparable ones. The *_sweep checkers are exact only for such a
+/// comparator; a comparator without the member declares nothing.
+template <class Cmp>
+concept DeclaresTotalOrder = requires { requires Cmp::kTotalOrder; };
 
 namespace detail {
 
@@ -64,7 +86,9 @@ std::string describe_call(const runtime::CallRecord<Ts>& r) {
 /// Checks the timestamp property on `records` with comparator `cmp`
 /// (cmp(a, b) is the object's compare(a, b)); an ordered pair (a, b) carries
 /// an obligation only when `pair_filter(a, b)` is true. Quadratic in the
-/// number of calls; intended for test-sized histories.
+/// number of calls, with three comparator calls per pair: the reference for
+/// check_timestamp_property_sweep, and the only form for a comparator that
+/// is not a total order or a history with a pair filter.
 template <class Ts, class Cmp, class PairFilter>
 HbReport check_timestamp_property_filtered(
     const std::vector<runtime::CallRecord<Ts>>& records, Cmp cmp,
@@ -172,6 +196,109 @@ HbReport check_per_process_monotonicity(
       [](const runtime::CallRecord<Ts>&, const runtime::CallRecord<Ts>&) {
         return true;
       });
+}
+
+/// O(N log N) form of check_timestamp_property for a comparator that is a
+/// strict total order on the recorded timestamps (DeclaresTotalOrder).
+///
+/// Sorts the calls by timestamp and walks the groups of equal timestamps from
+/// the largest down, keeping the smallest response among the calls seen so
+/// far, the current group included. A call invoked after that response has an
+/// hb-predecessor whose timestamp is equal or larger: that is exactly a
+/// violating ordered pair. With no violation, `ordered_pairs_checked` is
+/// counted by binary search over the sorted responses, and every other pair
+/// is concurrent: no pair is ordered both ways, because every call has
+/// invoked_at < responded_at (CallLog and the native recorder assert it).
+///
+/// Guards, each of which returns check_timestamp_property's report instead:
+/// a call with compare(t,t); an adjacent pair the sort left out of order (the
+/// comparator is then no order; the merge sort of std::stable_sort stays in
+/// range even so); and any violation the sweep finds, so failure messages
+/// and their order are the quadratic checker's. The guards do not prove the
+/// declaration: a comparator that is not transitive can still pass them.
+template <class Ts, class Cmp>
+HbReport check_timestamp_property_sweep(
+    const std::vector<runtime::CallRecord<Ts>>& records, Cmp cmp) {
+  const auto quadratic = [&] { return check_timestamp_property(records, cmp); };
+  for (const auto& r : records) {
+    if (cmp(r.ts, r.ts)) return quadratic();
+  }
+  const std::size_t n = records.size();
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return cmp(records[a].ts, records[b].ts);
+                   });
+  std::uint64_t min_response = std::numeric_limits<std::uint64_t>::max();
+  for (std::size_t hi = n; hi > 0;) {
+    // The group of timestamps equal to records[order[hi - 1]] is [lo, hi).
+    std::size_t lo = hi - 1;
+    min_response = std::min(min_response, records[order[lo]].responded_at);
+    while (lo > 0) {
+      const auto& below = records[order[lo - 1]];
+      const auto& here = records[order[lo]];
+      if (cmp(here.ts, below.ts)) return quadratic();
+      if (cmp(below.ts, here.ts)) break;
+      min_response = std::min(min_response, below.responded_at);
+      --lo;
+    }
+    for (std::size_t k = lo; k < hi; ++k) {
+      if (records[order[k]].invoked_at > min_response) return quadratic();
+    }
+    hi = lo;
+  }
+
+  std::vector<std::uint64_t> responses(n);
+  for (std::size_t i = 0; i < n; ++i) responses[i] = records[i].responded_at;
+  std::sort(responses.begin(), responses.end());
+  HbReport report;
+  for (const auto& b : records) {
+    report.ordered_pairs_checked += static_cast<std::size_t>(
+        std::lower_bound(responses.begin(), responses.end(), b.invoked_at) -
+        responses.begin());
+  }
+  report.concurrent_pairs = n * (n - 1) / 2 - report.ordered_pairs_checked;
+  return report;
+}
+
+/// O(N log N) form of check_per_process_monotonicity for a comparator that is
+/// a strict total order (DeclaresTotalOrder). Orders each process's calls by
+/// invoked_at; every adjacent pair must be hb-ordered and compare forward
+/// (and not backward). Then each process's calls form one hb chain, which
+/// covers every same-pid pair the quadratic checker visits, restarts
+/// included (a crashed call is never recorded, and the event stamps survive
+/// the restart), and transitivity carries compare along the chain. Any
+/// adjacent pair that fails returns check_per_process_monotonicity's report.
+/// Like the count above, this relies on invoked_at < responded_at for every
+/// call, which CallLog and the native recorder assert.
+template <class Ts, class Cmp>
+HbReport check_per_process_monotonicity_sweep(
+    const std::vector<runtime::CallRecord<Ts>>& records, Cmp cmp) {
+  const std::size_t n = records.size();
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    const auto& x = records[a];
+    const auto& y = records[b];
+    return x.pid != y.pid ? x.pid < y.pid : x.invoked_at < y.invoked_at;
+  });
+  HbReport report;
+  std::size_t earlier = 0;  // calls of the current process before `next`
+  for (std::size_t k = 1; k < n; ++k) {
+    const auto& prev = records[order[k - 1]];
+    const auto& next = records[order[k]];
+    if (prev.pid != next.pid) {
+      earlier = 0;
+      continue;
+    }
+    if (!prev.happens_before(next) || !cmp(prev.ts, next.ts) ||
+        cmp(next.ts, prev.ts)) {
+      return check_per_process_monotonicity(records, cmp);
+    }
+    report.ordered_pairs_checked += ++earlier;
+  }
+  return report;
 }
 
 }  // namespace stamped::verify

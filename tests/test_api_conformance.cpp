@@ -7,8 +7,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "analysis/footprint.hpp"
@@ -17,11 +19,39 @@
 #include "shard/sharded_instance.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
+#include "verify/hb_checker.hpp"
 #include "verify/race_detector.hpp"
 
 namespace {
 
 using namespace stamped;
+
+/// An erased log's timestamp handle as a typed timestamp, as api/harness.cpp
+/// adapts it, so the typed checkers run over any family's history.
+struct OpaqueTs {
+  std::size_t idx = 0;
+  const api::GenericCallLog* log = nullptr;
+
+  friend bool operator==(const OpaqueTs&, const OpaqueTs&) = default;
+
+  [[nodiscard]] std::string repr() const { return log->ts_repr(idx); }
+};
+
+struct OpaqueCompare {
+  [[nodiscard]] bool operator()(const OpaqueTs& a, const OpaqueTs& b) const {
+    return a.log->before(a.idx, b.idx);
+  }
+};
+
+std::vector<runtime::CallRecord<OpaqueTs>> opaque_records(
+    const api::GenericCallLog& log) {
+  std::vector<runtime::CallRecord<OpaqueTs>> out;
+  for (const auto& r : log.records) {
+    out.push_back({r.pid, r.call_index, OpaqueTs{r.ts, &log}, r.invoked_at,
+                   r.responded_at});
+  }
+  return out;
+}
 
 std::vector<std::string> family_names() {
   std::vector<std::string> names;
@@ -421,6 +451,154 @@ TEST_P(FamilyConformance, NativeBackendSatisfiesProperty) {
       EXPECT_EQ(report.retired_nodes, 0u) << report.summary();
     }
   }
+}
+
+TEST_P(FamilyConformance, FastCheckerAgreesWithQuadratic) {
+  // The harness checks a log flagged total_order with the sweep forms. On
+  // every schedule source's histories — restarts (call_index repeats) and
+  // native runs included — they must return the quadratic checkers' reports
+  // exactly. Every family but bounded declares a total order; the bounded
+  // family's windowed compare and the sharded service's composed log must
+  // stay unflagged, so they keep the quadratic path.
+  const bool declared = fam().name != "bounded";
+  runtime::CrashPlan plan;
+  plan.crashes = 2;
+  plan.restart = fam().lifetime == api::Lifetime::kLongLived;
+  // fetchadd's calls are one step each: under the default bound of 24 steps
+  // its victims mostly finish before they die, and nothing restarts.
+  plan.max_victim_steps = 8;
+  constexpr std::uint64_t kMaxSteps = std::uint64_t{1} << 22;
+  std::uint64_t compared = 0;
+  std::uint64_t repeated_call_index = 0;
+  const auto expect_agree = [&](const api::GenericCallLog& log,
+                                const std::string& where) {
+    EXPECT_EQ(log.total_order, declared) << where;
+    if (!log.total_order) return;
+    const auto records = opaque_records(log);
+    const auto quad =
+        verify::check_timestamp_property(records, OpaqueCompare{});
+    const auto sweep =
+        verify::check_timestamp_property_sweep(records, OpaqueCompare{});
+    EXPECT_TRUE(sweep == quad) << where << "\nsweep: " << sweep.to_string()
+                               << "\nquadratic: " << quad.to_string();
+    const auto mono_quad =
+        verify::check_per_process_monotonicity(records, OpaqueCompare{});
+    const auto mono_sweep =
+        verify::check_per_process_monotonicity_sweep(records, OpaqueCompare{});
+    EXPECT_TRUE(mono_sweep == mono_quad)
+        << where << "\nsweep: " << mono_sweep.to_string()
+        << "\nquadratic: " << mono_quad.to_string();
+    std::vector<std::pair<int, int>> ids;
+    for (const auto& r : log.records) ids.emplace_back(r.pid, r.call_index);
+    std::sort(ids.begin(), ids.end());
+    if (std::adjacent_find(ids.begin(), ids.end()) != ids.end()) {
+      ++repeated_call_index;
+    }
+    ++compared;
+  };
+  using Drive = std::function<void(runtime::ISystem&, util::Rng&)>;
+  const std::vector<std::pair<std::string, Drive>> sources{
+      {"round-robin",
+       [&](runtime::ISystem& sys, util::Rng&) {
+         runtime::run_round_robin(sys, kMaxSteps);
+       }},
+      {"random",
+       [&](runtime::ISystem& sys, util::Rng& rng) {
+         runtime::run_random(sys, rng, kMaxSteps);
+       }},
+      {"covering",
+       [&](runtime::ISystem& sys, util::Rng& rng) {
+         api::covering_adversary().drive(sys, rng, kMaxSteps);
+       }},
+      {"crash-restart",
+       [&](runtime::ISystem& sys, util::Rng& rng) {
+         (void)runtime::run_crash_restart(sys, rng, plan, kMaxSteps);
+       }},
+      {"jitter",
+       [&](runtime::ISystem& sys, util::Rng& rng) {
+         (void)runtime::run_jittered(sys, rng, runtime::JitterSpec{},
+                                     kMaxSteps);
+       }},
+  };
+  for (api::ScenarioSpec spec : specs()) {
+    if (spec.n > 16) continue;  // keep the battery fast; kinds don't change
+    const std::string size = " n=" + std::to_string(spec.n) +
+                             " calls=" + std::to_string(spec.calls_per_process);
+    for (const auto& [name, drive] : sources) {
+      for (std::uint64_t seed : {5u, 6u}) {
+        auto inst = fam().make(spec);
+        util::Rng rng(seed);
+        drive(inst->system(), rng);
+        expect_agree(inst->calls(), name + size);
+      }
+    }
+    api::ScenarioSpec native = spec;
+    native.backend = api::Backend::kNative;
+    auto inst = fam().make_native(native);
+    (void)inst->run_native(4);
+    expect_agree(inst->calls(), "native-os" + size);
+  }
+
+  api::ScenarioSpec one_shard;
+  one_shard.n = 3;
+  one_shard.calls_per_process = fam().max_calls_per_process == 0 ? 2 : 1;
+  one_shard.shard.shards = 1;
+  auto service = fam().make_sharded(one_shard);
+  util::Rng rng(one_shard.seed);
+  runtime::run_random(service->system(), rng, kMaxSteps);
+  EXPECT_FALSE(service->composed_calls().total_order);
+  expect_agree(service->shard_calls(0), "shard 0");
+
+  if (declared) {
+    EXPECT_GT(compared, 0u);
+    if (plan.restart) {
+      EXPECT_GT(repeated_call_index, 0u) << "no history held a restart";
+    }
+  }
+}
+
+TEST_P(FamilyConformance, DeclaredTotalOrderHoldsOnRecordedTimestamps) {
+  // Lints the declaration the sweep checkers rest on, as FootprintLintPasses
+  // lints the declared footprints: on one recorded history, the flagged
+  // log's `before` must be irreflexive, asymmetric and transitive, and two
+  // timestamps may be incomparable only when they are equal.
+  api::ScenarioSpec spec;
+  spec.n = fam().max_calls_per_process == 0 ? 4 : 32;
+  spec.calls_per_process = fam().max_calls_per_process == 0 ? 8 : 1;
+  ASSERT_TRUE(fam().supports(spec));
+  auto inst = fam().make(spec);
+  util::Rng rng(spec.seed);
+  runtime::run_random(inst->system(), rng, std::uint64_t{1} << 22);
+  const api::GenericCallLog log = inst->calls();
+  if (!log.total_order) {
+    EXPECT_EQ(fam().name, "bounded");
+    return;
+  }
+  const std::size_t n = log.size();
+  ASSERT_EQ(n, static_cast<std::size_t>(spec.total_calls()));
+  std::size_t distinct_pairs = 0;
+  for (std::size_t a = 0; a < n; ++a) {
+    EXPECT_FALSE(log.before(a, a)) << log.ts_repr(a);
+    for (std::size_t b = 0; b < n; ++b) {
+      const bool ab = log.before(a, b);
+      const bool ba = log.before(b, a);
+      EXPECT_FALSE(ab && ba) << log.ts_repr(a) << " vs " << log.ts_repr(b);
+      if (!ab && !ba) {
+        EXPECT_EQ(log.ts_repr(a), log.ts_repr(b));
+      } else {
+        ++distinct_pairs;
+      }
+      if (!ab) continue;
+      for (std::size_t c = 0; c < n; ++c) {
+        if (log.before(b, c)) {
+          EXPECT_TRUE(log.before(a, c))
+              << log.ts_repr(a) << " < " << log.ts_repr(b) << " < "
+              << log.ts_repr(c);
+        }
+      }
+    }
+  }
+  EXPECT_GT(distinct_pairs, 0u);
 }
 
 TEST(CrashRestartConformance, BoundedLabelRecyclingSurvivesCrashes) {

@@ -135,6 +135,125 @@ TEST(HbChecker, FilteredPairsCarryNoObligation) {
   EXPECT_EQ(report.filtered_pairs, 1u);
 }
 
+/// Both sweep checkers must return exactly the quadratic checkers' reports:
+/// the same violations in the same order and the same pair counts.
+template <class Cmp>
+void expect_sweep_matches_quadratic(
+    const std::vector<CallRecord<std::int64_t>>& records, Cmp cmp) {
+  const auto quad = verify::check_timestamp_property(records, cmp);
+  const auto sweep = verify::check_timestamp_property_sweep(records, cmp);
+  EXPECT_TRUE(sweep == quad) << "sweep: " << sweep.to_string()
+                             << "\nquadratic: " << quad.to_string();
+  const auto mono_quad = verify::check_per_process_monotonicity(records, cmp);
+  const auto mono_sweep =
+      verify::check_per_process_monotonicity_sweep(records, cmp);
+  EXPECT_TRUE(mono_sweep == mono_quad)
+      << "sweep: " << mono_sweep.to_string()
+      << "\nquadratic: " << mono_quad.to_string();
+}
+
+TEST(HbSweep, EqualTimestampsOnConcurrentCallsPass) {
+  // Three concurrent calls share timestamp 3, between an earlier and a later
+  // call: 7 ordered pairs, 3 concurrent ones.
+  std::vector<CallRecord<std::int64_t>> records{
+      rec(0, 0, 1, 1, 2), rec(1, 0, 3, 3, 6), rec(2, 0, 3, 4, 7),
+      rec(3, 0, 3, 5, 8), rec(0, 1, 4, 9, 10),
+  };
+  const auto report =
+      verify::check_timestamp_property_sweep(records, core::Compare{});
+  EXPECT_TRUE(report.ok()) << report.to_string();
+  EXPECT_EQ(report.ordered_pairs_checked, 7u);
+  EXPECT_EQ(report.concurrent_pairs, 3u);
+  EXPECT_EQ(report.filtered_pairs, 0u);
+  expect_sweep_matches_quadratic(records, core::Compare{});
+}
+
+TEST(HbSweep, EqualTimestampOnOrderedPairFails) {
+  // p1's call responds before p2's is invoked, yet both return 5.
+  std::vector<CallRecord<std::int64_t>> records{
+      rec(0, 0, 2, 1, 2), rec(1, 0, 5, 3, 4), rec(2, 0, 5, 5, 6),
+      rec(3, 0, 1, 1, 7),
+  };
+  const auto report =
+      verify::check_timestamp_property_sweep(records, core::Compare{});
+  ASSERT_EQ(report.violations.size(), 1u) << report.to_string();
+  EXPECT_NE(report.violations[0].find("!compare(t1,t2)"), std::string::npos)
+      << report.violations[0];
+  expect_sweep_matches_quadratic(records, core::Compare{});
+}
+
+TEST(HbSweep, RestartedProcessMatchesQuadratic) {
+  // p0 completes calls 0 and 1, crashes inside call 2 (never recorded) and
+  // restarts: its call_index begins again at 0, but the event stamps order
+  // the new calls after the old ones.
+  std::vector<CallRecord<std::int64_t>> records{
+      rec(0, 0, 1, 1, 2), rec(0, 1, 3, 3, 4), rec(1, 0, 2, 2, 5),
+      rec(0, 0, 6, 8, 9), rec(1, 1, 5, 6, 7), rec(0, 1, 7, 10, 11),
+  };
+  const auto mono =
+      verify::check_per_process_monotonicity_sweep(records, core::Compare{});
+  EXPECT_TRUE(mono.ok()) << mono.to_string();
+  EXPECT_EQ(mono.ordered_pairs_checked, 6u + 1u);  // 4 calls of p0, 2 of p1
+  expect_sweep_matches_quadratic(records, core::Compare{});
+
+  // The restarted incarnation's first call returns less than a pre-crash
+  // call: both checkers flag it.
+  records[3].ts = 2;
+  EXPECT_FALSE(
+      verify::check_per_process_monotonicity_sweep(records, core::Compare{})
+          .ok());
+  EXPECT_FALSE(
+      verify::check_timestamp_property_sweep(records, core::Compare{}).ok());
+  expect_sweep_matches_quadratic(records, core::Compare{});
+}
+
+TEST(HbSweep, InconsistentComparatorGetsTheQuadraticReport) {
+  // `a != b` is deterministic but claims both directions for distinct
+  // timestamps, and `a <= b` is reflexive: neither is a strict order. The
+  // sweeps' guards hand such histories to the quadratic checkers, so the
+  // reports stay exact (and the merge sort stays in range). The second
+  // history has only concurrent calls, so no ordered pair flags it: only
+  // the sort guard sees that `a != b` is no order.
+  const std::vector<std::vector<CallRecord<std::int64_t>>> histories{
+      {rec(0, 0, 4, 1, 2), rec(1, 0, 4, 1, 3), rec(0, 1, 2, 3, 5),
+       rec(2, 0, 9, 2, 6), rec(1, 1, 7, 4, 8), rec(0, 2, 4, 6, 9),
+       rec(2, 1, 1, 7, 10), rec(3, 0, 4, 8, 11)},
+      {rec(0, 0, 3, 1, 10), rec(1, 0, 1, 2, 11), rec(2, 0, 4, 3, 12),
+       rec(3, 0, 2, 4, 13)},
+  };
+  for (const auto& records : histories) {
+    expect_sweep_matches_quadratic(
+        records, [](std::int64_t a, std::int64_t b) { return a != b; });
+    expect_sweep_matches_quadratic(
+        records, [](std::int64_t a, std::int64_t b) { return a <= b; });
+    expect_sweep_matches_quadratic(records, core::Compare{});
+  }
+}
+
+TEST(HbSweep, CleanHistoryNeedsFarFewerComparisonsThanPairs) {
+  // 4 processes take turns, 64 calls each, with increasing timestamps. The
+  // quadratic checkers compare every ordered pair at least once; the sweeps
+  // sort once, so a clean history must not fall back to them.
+  std::vector<CallRecord<std::int64_t>> records;
+  for (int k = 0; k < 256; ++k) {
+    const auto t = static_cast<std::uint64_t>(2 * k);
+    records.push_back(rec(k % 4, k / 4, k, t + 1, t + 2));
+  }
+  std::size_t comparisons = 0;
+  const auto counting = [&comparisons](std::int64_t a, std::int64_t b) {
+    ++comparisons;
+    return a < b;
+  };
+  const auto report = verify::check_timestamp_property_sweep(records, counting);
+  const auto mono =
+      verify::check_per_process_monotonicity_sweep(records, counting);
+  EXPECT_TRUE(report.ok() && mono.ok());
+  EXPECT_EQ(report.ordered_pairs_checked, 256u * 255u / 2u);
+  EXPECT_EQ(mono.ordered_pairs_checked, 4u * (64u * 63u / 2u));
+  EXPECT_LT(comparisons, records.size() * records.size() / 8u);
+  expect_sweep_matches_quadratic(records, core::Compare{});
+}
+
 TEST(Schedule, ToStringAndParseRoundTrip) {
   const std::vector<int> sched{0, 3, 1, 1, 2};
   const std::string text = runtime::schedule_to_string(sched);

@@ -108,6 +108,11 @@ TEST(Mutation, NeverOverwriteMutantViolatesExactlyAsThePaperPredicts) {
       verify::check_timestamp_property(result.records, core::Compare{});
   EXPECT_FALSE(report.ok())
       << "the mutant should violate the timestamp property";
+  // The sort-and-sweep checker reports the identical violation list.
+  const auto sweep =
+      verify::check_timestamp_property_sweep(result.records, core::Compare{});
+  EXPECT_EQ(sweep.violations, report.violations);
+  EXPECT_TRUE(sweep == report) << sweep.to_string();
 }
 
 TEST(Mutation, PaperAlgorithmSurvivesTheSameInterleaving) {
@@ -123,6 +128,9 @@ TEST(Mutation, PaperAlgorithmSurvivesTheSameInterleaving) {
   auto report =
       verify::check_timestamp_property(result.records, core::Compare{});
   EXPECT_TRUE(report.ok()) << report.to_string();
+  const auto sweep =
+      verify::check_timestamp_property_sweep(result.records, core::Compare{});
+  EXPECT_TRUE(sweep == report) << sweep.to_string();
 }
 
 TEST(Mutation, AlwaysOverwriteSurvivesTheSameInterleaving) {
@@ -131,6 +139,9 @@ TEST(Mutation, AlwaysOverwriteSurvivesTheSameInterleaving) {
   auto report =
       verify::check_timestamp_property(result.records, core::Compare{});
   EXPECT_TRUE(report.ok()) << report.to_string();
+  const auto sweep =
+      verify::check_timestamp_property_sweep(result.records, core::Compare{});
+  EXPECT_TRUE(sweep == report) << sweep.to_string();
 }
 
 }  // namespace
