@@ -159,15 +159,6 @@ enum class Ownership : std::uint8_t {
   kMWMRSentinel,  ///< MWMR body plus never-written sentinel tail (Algorithm 4)
 };
 
-[[nodiscard]] constexpr const char* ownership_name(Ownership o) {
-  switch (o) {
-    case Ownership::kSWMR: return "SWMR";
-    case Ownership::kMWMR: return "MWMR";
-    case Ownership::kMWMRSentinel: return "MWMR+sentinel";
-  }
-  return "?";
-}
-
 /// The family's declared static register-access footprint: the paper's
 /// ownership discipline as data. `writer_mask` is the ground truth the
 /// footprint lint diffs observed executions against, and the static write

@@ -16,25 +16,11 @@
 #include "runtime/scheduler.hpp"
 #include "shard/sharded_instance.hpp"
 #include "verify/at_most_once.hpp"
-#include "verify/coverage.hpp"
 #include "verify/hb_checker.hpp"
 
 namespace stamped::api {
 
 namespace {
-
-/// ExploreOptions::exact_footprints opt-in: lowers the family's declared
-/// footprint into the explorer's static write map. A family without a
-/// declared footprint keeps the pending-op heuristic (null map).
-void fill_footprints(verify::ExploreOptions& opts,
-                     const TimestampFamily& family,
-                     const ScenarioSpec& spec) {
-  if (!opts.exact_footprints || opts.footprints != nullptr ||
-      !family.footprint.declared()) {
-    return;
-  }
-  opts.footprints = analysis::write_footprints(family, spec);
-}
 
 /// A timestamp handle dressed up as a RegisterValue so the typed checkers of
 /// verify/hb_checker.hpp run unchanged over type-erased histories.
@@ -245,35 +231,91 @@ ScenarioReport run_sharded_scenario(const TimestampFamily& family,
   return rep;
 }
 
-/// Builds the explorer's instance factory for a family/spec: each instance
-/// is a fresh system whose check applies the harness checkers to the typed
-/// history and folds registers_written into the shared accumulator. Captures
-/// family/spec/checkers by reference — callers must keep them alive for the
-/// duration of the exploration (run_scenario and crosscheck_por do).
-verify::InstanceFactory make_explore_factory(
+/// Builds an instance factory for the explorer and the fuzzer: each instance
+/// is a fresh system whose check applies the harness checkers to its
+/// history, hands the instance, its system and that branch report to `fold`,
+/// and reports the first violation. Captures family/spec/checkers by
+/// reference — callers must keep them alive while the factory is in use
+/// (run_scenario and crosscheck_por do).
+verify::InstanceFactory make_instance_factory(
     const TimestampFamily& family, const ScenarioSpec& spec,
     const Checkers& checkers,
-    std::shared_ptr<std::atomic<int>> worst_written) {
-  return [&family, &spec, &checkers, worst_written]() {
+    std::function<void(const FamilyInstance&, const runtime::ISystem&,
+                       const ScenarioReport&)>
+        fold) {
+  return [&family, &spec, &checkers, fold = std::move(fold)]() {
     std::shared_ptr<FamilyInstance> inst{family.make(spec)};
     verify::ExplorationInstance e;
     e.sys = inst->take_system();
     runtime::ISystem* raw = e.sys.get();
-    e.check = [inst, raw, &checkers,
-               worst_written]() -> std::optional<std::string> {
-      const int written = raw->registers_written();
-      int cur = worst_written->load(std::memory_order_relaxed);
-      while (written > cur &&
-             !worst_written->compare_exchange_weak(
-                 cur, written, std::memory_order_relaxed)) {
-      }
+    e.check = [inst, raw, &checkers, fold]() -> std::optional<std::string> {
       ScenarioReport branch;
-      apply_checkers(inst->calls(), checkers, branch);
+      if (checkers.timestamp_property || checkers.per_process_monotonicity) {
+        apply_checkers(inst->calls(), checkers, branch);
+      }
+      fold(*inst, *raw, branch);
       if (!branch.violations.empty()) return branch.violations.front();
       return std::nullopt;
     };
     return e;
   };
+}
+
+void require_supported(const TimestampFamily& family,
+                       const ScenarioSpec& spec) {
+  STAMPED_ASSERT_MSG(family.supports(spec),
+                     "family '" << family.name
+                                << "' does not support this scenario (n="
+                                << spec.n << ", calls_per_process="
+                                << spec.calls_per_process << ")");
+}
+
+/// What the explorer needs for an exhaustive scenario: the source's options
+/// with the spec's thread override and the family's footprints applied, and
+/// an instance factory whose checks keep the worst registers-written count.
+struct ExploreSetup {
+  verify::ExploreOptions opts;
+  std::shared_ptr<std::atomic<int>> worst_written;
+  verify::InstanceFactory factory;
+};
+
+ExploreSetup explore_setup(const TimestampFamily& family,
+                           const ScenarioSpec& spec,
+                           const ScheduleSource& source,
+                           const Checkers& checkers) {
+  // The explorer replays prefixes and inspects views, which requires full
+  // recording; reject the conflicting spec loudly rather than silently
+  // running in kFull.
+  STAMPED_ASSERT_MSG(spec.recording == runtime::RecordingMode::kFull,
+                     "the exhaustive explorer requires "
+                     "ScenarioSpec::recording == kFull");
+  ExploreSetup setup;
+  setup.opts = source.explore;
+  if (spec.explore_threads > 0) setup.opts.threads = spec.explore_threads;
+  // ExploreOptions::exact_footprints opt-in: lowers the family's declared
+  // footprint into the explorer's static write map. A family without a
+  // declared footprint keeps the pending-op heuristic (null map).
+  if (setup.opts.exact_footprints && setup.opts.footprints == nullptr &&
+      family.footprint.declared()) {
+    setup.opts.footprints = analysis::write_footprints(family, spec);
+  }
+  // Instances are worker-private, but the accumulator is shared across the
+  // whole exploration — atomic, because the parallel DFS runs checks from
+  // several workers at once.
+  setup.worst_written = std::make_shared<std::atomic<int>>(0);
+  setup.factory = make_instance_factory(
+      family, spec, checkers,
+      [worst = setup.worst_written](const FamilyInstance&,
+                                    const runtime::ISystem& sys,
+                                    const ScenarioReport&) {
+        const int written = sys.registers_written();
+        int cur = worst->load(std::memory_order_relaxed);
+        while (written > cur &&
+               !worst->compare_exchange_weak(cur, written,
+                                             std::memory_order_relaxed)) {
+        }
+      });
+  return setup;
 }
 
 /// Sums family metrics across the fuzzer's executions, keyed by name.
@@ -286,70 +328,6 @@ void accumulate_metrics(Metrics& into, const Metrics& add) {
       into.emplace_back(key, value);
     } else {
       it->second += value;
-    }
-  }
-}
-
-/// One mutation of a corpus schedule: splice two parents, shift a block
-/// (manufactures solo bursts), transpose two steps, truncate (the dropped
-/// tail re-randomizes during repair), or insert a solo burst (one process
-/// runs 4..19 consecutive steps — adjacencies a uniform random schedule
-/// almost never produces). All draws come from the fuzzer's master rng, so
-/// the search is deterministic.
-runtime::Schedule mutate_schedule(const std::vector<runtime::Schedule>& corpus,
-                                  int num_processes, util::Rng& rng) {
-  const runtime::Schedule& a = corpus[static_cast<std::size_t>(
-      rng.next_below(corpus.size()))];
-  runtime::Schedule out;
-  switch (rng.next_below(5)) {
-    case 0: {  // splice: prefix of one parent + suffix of another
-      const runtime::Schedule& b = corpus[static_cast<std::size_t>(
-          rng.next_below(corpus.size()))];
-      const auto ca = static_cast<std::ptrdiff_t>(
-          rng.next_below(a.size() + 1));
-      const auto cb = static_cast<std::ptrdiff_t>(
-          rng.next_below(b.size() + 1));
-      out.assign(a.begin(), a.begin() + ca);
-      out.insert(out.end(), b.begin() + cb, b.end());
-      return out;
-    }
-    case 1: {  // shift a short block elsewhere
-      out = a;
-      if (out.size() < 2) return out;
-      const auto i = static_cast<std::ptrdiff_t>(
-          rng.next_below(out.size()));
-      const auto len = static_cast<std::ptrdiff_t>(
-          1 + rng.next_below(std::min<std::uint64_t>(
-                  8, out.size() - static_cast<std::size_t>(i))));
-      const std::vector<int> block(out.begin() + i, out.begin() + i + len);
-      out.erase(out.begin() + i, out.begin() + i + len);
-      const auto j = static_cast<std::ptrdiff_t>(
-          rng.next_below(out.size() + 1));
-      out.insert(out.begin() + j, block.begin(), block.end());
-      return out;
-    }
-    case 2: {  // transpose two steps
-      out = a;
-      if (out.size() < 2) return out;
-      const auto i = static_cast<std::size_t>(rng.next_below(out.size()));
-      const auto j = static_cast<std::size_t>(rng.next_below(out.size()));
-      std::swap(out[i], out[j]);
-      return out;
-    }
-    case 3: {  // insert a solo burst
-      out = a;
-      const int pid = static_cast<int>(
-          rng.next_below(static_cast<std::uint64_t>(num_processes)));
-      const auto len = 4 + rng.next_below(16);
-      const auto j = static_cast<std::ptrdiff_t>(
-          rng.next_below(out.size() + 1));
-      out.insert(out.begin() + j, static_cast<std::size_t>(len), pid);
-      return out;
-    }
-    default: {  // truncate
-      out.assign(a.begin(), a.begin() + static_cast<std::ptrdiff_t>(
-                                            rng.next_below(a.size() + 1)));
-      return out;
     }
   }
 }
@@ -464,13 +442,13 @@ ScheduleSource jittered(runtime::JitterSpec spec) {
 }
 
 ScheduleSource coverage_fuzzer(std::uint64_t seed, std::uint64_t budget) {
-  FuzzOptions opts;
+  verify::FuzzOptions opts;
   opts.seed = seed;
   opts.budget = budget;
   return coverage_fuzzer(opts);
 }
 
-ScheduleSource coverage_fuzzer(FuzzOptions opts) {
+ScheduleSource coverage_fuzzer(verify::FuzzOptions opts) {
   STAMPED_ASSERT(opts.budget >= 1);
   STAMPED_ASSERT(opts.max_corpus >= 1);
   ScheduleSource src;
@@ -534,11 +512,7 @@ ScenarioReport Harness::run_scenario(const TimestampFamily& family,
                                      const ScenarioSpec& spec,
                                      const ScheduleSource& source,
                                      const Checkers& checkers) const {
-  STAMPED_ASSERT_MSG(family.supports(spec),
-                     "family '" << family.name
-                                << "' does not support this scenario (n="
-                                << spec.n << ", calls_per_process="
-                                << spec.calls_per_process << ")");
+  require_supported(family, spec);
   // Both directions: a native spec under a simulator source would silently
   // run the wrong engine; a simulator spec under native_os() has no programs
   // wired for real threads. Either way the report would lie about what ran.
@@ -572,29 +546,17 @@ ScenarioReport Harness::run_scenario(const TimestampFamily& family,
   }
 
   if (source.kind == ScheduleSource::Kind::kExhaustive) {
-    // The explorer replays prefixes and inspects views, which requires full
-    // recording; reject the conflicting spec loudly rather than silently
-    // running in kFull.
-    STAMPED_ASSERT_MSG(spec.recording == runtime::RecordingMode::kFull,
-                       "the exhaustive explorer requires "
-                       "ScenarioSpec::recording == kFull");
-    verify::ExploreOptions opts = source.explore;
-    if (spec.explore_threads > 0) opts.threads = spec.explore_threads;
-    fill_footprints(opts, family, spec);
-    // Instances are worker-private, but the worst-registers-written
-    // accumulator is shared across the whole exploration — atomic, because
-    // the parallel DFS runs checks from several workers at once.
-    auto worst_written = std::make_shared<std::atomic<int>>(0);
-    const verify::InstanceFactory factory =
-        make_explore_factory(family, spec, checkers, worst_written);
-    const auto result = verify::explore_all_executions(factory, opts);
+    const ExploreSetup setup = explore_setup(family, spec, source, checkers);
+    const auto result = verify::explore_all_executions(setup.factory,
+                                                       setup.opts);
     rep.executions = result.executions;
     rep.nodes = result.nodes;
     rep.sleep_pruned = result.sleep_pruned;
     rep.persistent_deferred = result.persistent_deferred;
     rep.explore_workers = result.workers;
     rep.budget_exhausted = result.budget_exhausted;
-    rep.registers_written = worst_written->load(std::memory_order_relaxed);
+    rep.registers_written =
+        setup.worst_written->load(std::memory_order_relaxed);
     rep.all_finished = !result.depth_exceeded;
     rep.violations = result.violations;
     return rep;
@@ -605,83 +567,31 @@ ScenarioReport Harness::run_scenario(const TimestampFamily& family,
     STAMPED_ASSERT_MSG(spec.recording == runtime::RecordingMode::kFull,
                        "the coverage fuzzer requires "
                        "ScenarioSpec::recording == kFull");
-    util::Rng rng(spec.seed ^
-                  (source.fuzz.seed * 0x9e3779b97f4a7c15ULL));
-    verify::CoverageMap cov;
-    std::vector<runtime::Schedule> corpus;
-    bool all_finished = true;
-    // Execution length of the seeding run, used to size the two structured
-    // seed guides below; `dry` counts consecutive executions that reached no
-    // fresh coverage.
-    std::uint64_t seed_len = 0;
-    std::uint64_t dry = 0;
-    for (std::uint64_t e = 0; e < source.fuzz.budget; ++e) {
-      // Guide for this execution. Execution 0 is pure random (seeds the
-      // corpus and measures the execution length); executions 1 and 2 are
-      // the structured extremes — fully sequential and strict round-robin —
-      // whose call-boundary adjacencies a uniform random schedule reaches
-      // only with vanishing probability; the rest replay mutated corpus
-      // parents, except that after `kDrySpell` consecutive executions with
-      // no fresh coverage the next shot is pure random again (mutants of a
-      // saturated corpus re-tread known territory; a fresh execution is the
-      // cheaper probe). Oversized guides are harmless: replay skips
-      // finished pids.
-      constexpr std::uint64_t kDrySpell = 3;
-      runtime::Schedule guide;
-      if (e == 1 && seed_len > 0) {
-        for (int p = 0; p < spec.n; ++p) {
-          guide.insert(guide.end(), seed_len, p);
-        }
-      } else if (e == 2 && seed_len > 0) {
-        for (std::uint64_t r = 0; r < seed_len; ++r) {
-          for (int p = 0; p < spec.n; ++p) guide.push_back(p);
-        }
-      } else if (!corpus.empty() && e > 0 && dry < kDrySpell) {
-        guide = mutate_schedule(corpus, spec.n, rng);
-      } else {
-        dry = 0;  // spend this execution on a pure random probe
-      }
-      auto inst = family.make(spec);
-      runtime::ISystem& sys = inst->system();
-      // Replay the guide with repair — steps naming finished processes are
-      // skipped (mutation can overrun a pid's program) — then complete the
-      // execution under the same seeded random stream.
-      std::uint64_t steps = 0;
-      for (int pid : guide) {
-        if (steps >= max_steps_) break;
-        if (pid < 0 || pid >= sys.num_processes() || sys.finished(pid)) {
-          continue;
-        }
-        sys.step(pid);
-        ++steps;
-      }
-      runtime::run_random(sys, rng, max_steps_ - steps);
-      runtime::check_no_failures(sys);
-      if (e == 0) seed_len = sys.steps_taken();
-      all_finished = all_finished && sys.all_finished();
-      const std::size_t fresh = cov.add_execution(sys.step_infos());
-      rep.steps += sys.steps_taken();
-      rep.calls += sys.calls_completed_total();
-      rep.registers_written =
-          std::max(rep.registers_written, sys.registers_written());
-      accumulate_metrics(rep.metrics, inst->metrics());
-      if (checkers.timestamp_property || checkers.per_process_monotonicity) {
-        apply_checkers(inst->calls(), checkers, rep);
-      }
-      dry = fresh > 0 ? 0 : dry + 1;
-      // Schedules that reached unvisited signatures become mutation parents.
-      if (fresh > 0) {
-        corpus.push_back(sys.executed_schedule());
-        if (corpus.size() > source.fuzz.max_corpus) {
-          corpus.erase(corpus.begin());
-        }
-      }
-    }
+    // Every execution is checked, and its counts, metrics and violations
+    // sum into the report; registers_written is the worst case.
+    const verify::InstanceFactory factory = make_instance_factory(
+        family, spec, checkers,
+        [&rep](const FamilyInstance& inst, const runtime::ISystem& sys,
+               const ScenarioReport& branch) {
+          rep.steps += sys.steps_taken();
+          rep.calls += sys.calls_completed_total();
+          rep.registers_written =
+              std::max(rep.registers_written, sys.registers_written());
+          accumulate_metrics(rep.metrics, inst.metrics());
+          rep.ordered_pairs += branch.ordered_pairs;
+          rep.concurrent_pairs += branch.concurrent_pairs;
+          rep.filtered_pairs += branch.filtered_pairs;
+          rep.violations.insert(rep.violations.end(),
+                                branch.violations.begin(),
+                                branch.violations.end());
+        });
+    const verify::FuzzResult result =
+        verify::fuzz_schedules(factory, source.fuzz, spec.seed, max_steps_);
     rep.executions = source.fuzz.budget;
-    rep.all_finished = all_finished;
-    rep.survivors_finished = all_finished;
-    rep.coverage_signatures = cov.size();
-    rep.corpus_size = corpus.size();
+    rep.all_finished = result.all_finished;
+    rep.survivors_finished = result.all_finished;
+    rep.coverage_signatures = result.signatures;
+    rep.corpus_size = result.corpus_size;
     return rep;
   }
 
@@ -705,21 +615,9 @@ verify::PorCrossCheck Harness::crosscheck_por(const TimestampFamily& family,
       "crosscheck_por certifies the exhaustive exploration tree; schedule "
       "source '" << source.name << "' is not exhaustive — run it through "
       "run_scenario instead of pretending a cross-check passed");
-  STAMPED_ASSERT_MSG(family.supports(spec),
-                     "family '" << family.name
-                                << "' does not support this scenario (n="
-                                << spec.n << ", calls_per_process="
-                                << spec.calls_per_process << ")");
-  STAMPED_ASSERT_MSG(spec.recording == runtime::RecordingMode::kFull,
-                     "the exhaustive explorer requires "
-                     "ScenarioSpec::recording == kFull");
-  verify::ExploreOptions opts = source.explore;
-  if (spec.explore_threads > 0) opts.threads = spec.explore_threads;
-  fill_footprints(opts, family, spec);
-  auto worst_written = std::make_shared<std::atomic<int>>(0);
-  const verify::InstanceFactory factory =
-      make_explore_factory(family, spec, checkers, worst_written);
-  return verify::crosscheck_por(factory, opts);
+  require_supported(family, spec);
+  const ExploreSetup setup = explore_setup(family, spec, source, checkers);
+  return verify::crosscheck_por(setup.factory, setup.opts);
 }
 
 std::string SweepReport::summary() const {

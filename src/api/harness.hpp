@@ -23,19 +23,9 @@
 #include "api/family.hpp"
 #include "util/rng.hpp"
 #include "verify/explorer.hpp"
+#include "verify/fuzzer.hpp"
 
 namespace stamped::api {
-
-/// Budget and seed of the coverage-guided schedule fuzzer (coverage_fuzzer).
-struct FuzzOptions {
-  /// Seed of the mutation stream, combined with ScenarioSpec::seed so the
-  /// same source can drive distinct sweeps.
-  std::uint64_t seed = 0;
-  /// Executions to run. Every execution costs one fresh instance.
-  std::uint64_t budget = 64;
-  /// Schedules retained as mutation parents (oldest evicted beyond this).
-  std::size_t max_corpus = 64;
-};
 
 /// One way of driving a scenario to completion.
 struct ScheduleSource {
@@ -62,7 +52,7 @@ struct ScheduleSource {
   /// Stall distribution for kJitter.
   runtime::JitterSpec jitter{};
   /// Search budget for kFuzzer.
-  FuzzOptions fuzz{};
+  verify::FuzzOptions fuzz{};
 };
 
 /// Fair round-robin over unfinished processes.
@@ -91,19 +81,17 @@ struct ScheduleSource {
 /// windows (runtime::run_jittered). Same spec + seed => byte-identical
 /// ScenarioReport.
 [[nodiscard]] ScheduleSource jittered(runtime::JitterSpec spec = {});
-/// Coverage-guided schedule fuzzer: runs `budget` executions — one random
-/// seed, the two structured extremes (sequential, strict round-robin), then
-/// mutated corpus parents (splice/shift/swap/solo-burst/truncate) — steering
-/// toward unvisited op-pair
-/// interleaving signatures (verify::CoverageMap); every execution is checked
-/// and coverage is reported in the ScenarioReport. Sits between the random
-/// sweeps and the exhaustive explorer: guided breadth without tree
-/// enumeration. Requires ScenarioSpec::recording == kFull (signatures come
-/// from the step-info log).
+/// Coverage-guided schedule fuzzer (verify/fuzzer.hpp): runs `budget`
+/// executions, steering toward unvisited op-pair interleaving signatures
+/// (verify::CoverageMap). Every execution is checked; steps, calls and
+/// violations sum over all of them, and coverage is reported in the
+/// ScenarioReport. Sits between the random sweeps and the exhaustive
+/// explorer: guided breadth without tree enumeration. Requires
+/// ScenarioSpec::recording == kFull (signatures come from the step-info log).
 [[nodiscard]] ScheduleSource coverage_fuzzer(std::uint64_t seed,
                                              std::uint64_t budget);
 /// As above with full control of the search parameters.
-[[nodiscard]] ScheduleSource coverage_fuzzer(FuzzOptions opts);
+[[nodiscard]] ScheduleSource coverage_fuzzer(verify::FuzzOptions opts);
 /// The native backend's one schedule source: real OS threads schedule
 /// themselves; the recorded history is checked post-hoc. Requires
 /// ScenarioSpec::backend == Backend::kNative (both directions are asserted —

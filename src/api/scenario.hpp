@@ -24,10 +24,6 @@ enum class Lifetime : std::uint8_t {
   kLongLived,  ///< processes call getTS() arbitrarily often
 };
 
-[[nodiscard]] constexpr const char* lifetime_name(Lifetime lt) {
-  return lt == Lifetime::kOneShot ? "one-shot" : "long-lived";
-}
-
 /// Which execution engine runs the scenario. The simulator interleaves
 /// coroutine steps under a deterministic scheduler; the native backend runs
 /// the same programs on real OS threads (src/native/) and checks the

@@ -14,8 +14,7 @@
 //    results are recorded through runtime::CallLog).
 //  - SubTask<T>: a nested coroutine (e.g. the double-collect scan) awaited by
 //    a ProcessTask or another SubTask. Suspension inside a subtask suspends
-//    the whole logical process; completion resumes the awaiter via symmetric
-//    transfer.
+//    the whole logical process; completion resumes the awaiter.
 #pragma once
 
 #include <coroutine>
@@ -84,10 +83,15 @@ class ProcessTask {
   Handle handle_{};
 };
 
-/// Nested coroutine returning a value of type T. Awaiting a SubTask starts it
-/// via symmetric transfer; when the subtask completes, control transfers back
-/// to the awaiting coroutine. Shared-memory suspensions inside the subtask
-/// suspend the entire process (the scheduler resumes the innermost frame).
+/// Nested coroutine returning a value of type T. Awaiting a SubTask runs it
+/// inline from the awaiter's await_suspend. A subtask that finishes without
+/// suspending (every subtask on the native backend, whose awaiters are
+/// immediately ready) returns there, and the awaiter continues without
+/// suspending. A subtask that suspended at a shared-memory operation
+/// suspends the entire process (the scheduler resumes the innermost frame)
+/// and, when it completes, transfers back to the awaiter (symmetric
+/// transfer, the simulator path). Either way the stack holds one frame per
+/// nesting level, however many subtasks a process awaits in sequence.
 template <class T>
 class [[nodiscard]] SubTask {
   static_assert(!std::is_void_v<T>,
@@ -97,6 +101,8 @@ class [[nodiscard]] SubTask {
   struct promise_type {
     std::optional<T> value;
     std::exception_ptr exception;
+    /// The awaiter, set only once the subtask has suspended: a subtask
+    /// finishing before that returns to the await_suspend that resumed it.
     std::coroutine_handle<> continuation;
 
     SubTask get_return_object() {
@@ -139,10 +145,12 @@ class [[nodiscard]] SubTask {
 
   // Awaiter interface: `T result = co_await some_subtask(...);`
   bool await_ready() const noexcept { return false; }
-  std::coroutine_handle<> await_suspend(std::coroutine_handle<> cont) {
+  bool await_suspend(std::coroutine_handle<> cont) {
     STAMPED_ASSERT(handle_);
+    handle_.resume();
+    if (handle_.done()) return false;  // the awaiter continues at once
     handle_.promise().continuation = cont;
-    return handle_;  // symmetric transfer: start the subtask now
+    return true;
   }
   T await_resume() {
     auto& p = handle_.promise();

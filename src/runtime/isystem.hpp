@@ -28,10 +28,6 @@ namespace stamped::runtime {
 /// with an observer installed.
 enum class RecordingMode : std::uint8_t { kFull, kCountsOnly };
 
-[[nodiscard]] constexpr const char* recording_mode_name(RecordingMode m) {
-  return m == RecordingMode::kFull ? "kFull" : "kCountsOnly";
-}
-
 /// The kinds of atomic shared-memory operations a process can be poised to
 /// perform. kSwap models a historyless swap object (Section 7 of the paper);
 /// kFetchAdd a fetch&add primitive (the non-register throughput baseline);

@@ -1,12 +1,13 @@
 // The coverage-guided schedule fuzzer: unit tests for the op-pair coverage
-// map, plus the seeded-bug differential — a test-local bounded variant with a
-// planted label-recycling bug that fair schedules never trip, which the
-// fuzzer must find within a fixed budget. A same-budget seeded-random sweep
-// runs for comparison but carries no obligation to find it: that asymmetry
-// is the point of coverage guidance.
+// map and the schedule mutations, plus the seeded-bug differential — a
+// test-local bounded variant with a planted label-recycling bug that fair
+// schedules never trip, which the fuzzer must find within a fixed budget. A
+// same-budget seeded-random sweep runs for comparison but carries no
+// obligation to find it: that asymmetry is the point of coverage guidance.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -14,7 +15,9 @@
 #include "api/engine_family.hpp"
 #include "api/harness.hpp"
 #include "runtime/coro.hpp"
+#include "util/rng.hpp"
 #include "verify/coverage.hpp"
+#include "verify/fuzzer.hpp"
 
 namespace {
 
@@ -63,6 +66,153 @@ TEST(CoverageMap, AddExecutionCountsFreshCrossProcessPairsOnly) {
   EXPECT_EQ(cov.add_execution(steps), 0u);
   EXPECT_EQ(cov.size(), 2u);
   EXPECT_EQ(cov.add_execution({}), 0u);
+}
+
+// ---- mutate_schedule -----------------------------------------------------
+
+using runtime::Schedule;
+
+bool is_strict_prefix(const Schedule& m, const Schedule& p) {
+  return m.size() < p.size() && std::equal(m.begin(), m.end(), p.begin());
+}
+
+/// m == a[0, ca) + b[cb, end) for some cuts ca, cb.
+bool is_splice(const Schedule& m, const Schedule& a, const Schedule& b) {
+  for (std::size_t ca = 0; ca <= std::min(a.size(), m.size()); ++ca) {
+    if (ca > 0 && a[ca - 1] != m[ca - 1]) break;
+    const std::size_t rest = m.size() - ca;
+    if (rest <= b.size() &&
+        std::equal(m.begin() + static_cast<std::ptrdiff_t>(ca), m.end(),
+                   b.end() - static_cast<std::ptrdiff_t>(rest))) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// m is p with two steps swapped.
+bool is_transpose(const Schedule& m, const Schedule& p) {
+  if (m.size() != p.size()) return false;
+  std::vector<std::size_t> diff;
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    if (m[i] != p[i]) diff.push_back(i);
+  }
+  return diff.size() == 2 && m[diff[0]] == p[diff[1]] &&
+         m[diff[1]] == p[diff[0]];
+}
+
+/// m is p with one block of at most 8 steps moved.
+bool is_shift(const Schedule& m, const Schedule& p) {
+  if (m.size() != p.size()) return false;
+  const auto at = [](const Schedule& s, std::size_t i) {
+    return s.cbegin() + static_cast<std::ptrdiff_t>(i);
+  };
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    for (std::size_t len = 1; len <= 8 && i + len <= p.size(); ++len) {
+      Schedule rest(p.cbegin(), at(p, i));
+      rest.insert(rest.cend(), at(p, i + len), p.cend());
+      for (std::size_t j = 0; j <= rest.size(); ++j) {
+        Schedule c(rest.cbegin(), at(rest, j));
+        c.insert(c.cend(), at(p, i), at(p, i + len));
+        c.insert(c.cend(), at(rest, j), rest.cend());
+        if (c == m) return true;
+      }
+    }
+  }
+  return false;
+}
+
+/// m is p with a run of 4..19 copies of one pid in [0, n) inserted.
+bool is_burst(const Schedule& m, const Schedule& p, int n) {
+  if (m.size() < p.size() + 4 || m.size() > p.size() + 19) return false;
+  const std::size_t len = m.size() - p.size();
+  for (std::size_t j = 0; j <= p.size(); ++j) {
+    const int pid = m[j];
+    const auto run = m.begin() + static_cast<std::ptrdiff_t>(j);
+    if (pid >= 0 && pid < n &&
+        std::equal(p.begin(), p.begin() + static_cast<std::ptrdiff_t>(j),
+                   m.begin()) &&
+        std::all_of(run, run + static_cast<std::ptrdiff_t>(len),
+                    [pid](int q) { return q == pid; }) &&
+        std::equal(p.begin() + static_cast<std::ptrdiff_t>(j), p.end(),
+                   run + static_cast<std::ptrdiff_t>(len))) {
+      return true;
+    }
+  }
+  return false;
+}
+
+enum class Shape {
+  kTruncate, kTranspose, kShift, kBurst, kSplice, kUnchanged, kNone
+};
+
+/// The first of the mutation shapes `m` has against `corpus`. A mutant can
+/// have several (a truncation is also a splice, a shift of one step to its
+/// neighbour also a transpose), so the narrower shapes go first. Every kind
+/// can also return a parent unchanged (two equal steps transposed, a full
+/// prefix), which credits no kind.
+Shape shape_of(const Schedule& m, const std::vector<Schedule>& corpus,
+               int n) {
+  const auto any = [&corpus](const auto& pred) {
+    return std::any_of(corpus.begin(), corpus.end(), pred);
+  };
+  if (any([&m](const Schedule& p) { return m == p; })) {
+    return Shape::kUnchanged;
+  }
+  if (any([&m](const Schedule& p) { return is_strict_prefix(m, p); })) {
+    return Shape::kTruncate;
+  }
+  if (any([&m](const Schedule& p) { return is_transpose(m, p); })) {
+    return Shape::kTranspose;
+  }
+  if (any([&m](const Schedule& p) { return is_shift(m, p); })) {
+    return Shape::kShift;
+  }
+  if (any([&m, n](const Schedule& p) { return is_burst(m, p, n); })) {
+    return Shape::kBurst;
+  }
+  for (const Schedule& a : corpus) {
+    if (any([&m, &a](const Schedule& b) { return is_splice(m, a, b); })) {
+      return Shape::kSplice;
+    }
+  }
+  return Shape::kNone;
+}
+
+std::vector<Schedule> draw_mutants(const std::vector<Schedule>& corpus,
+                                   int n, std::uint64_t seed, int count) {
+  util::Rng rng(seed);
+  std::vector<Schedule> mutants;
+  for (int k = 0; k < count; ++k) {
+    mutants.push_back(verify::mutate_schedule(corpus, n, rng));
+  }
+  return mutants;
+}
+
+TEST(MutateSchedule, EveryMutantHasOneOfTheFiveShapes) {
+  constexpr int kProcs = 3;
+  const std::vector<Schedule> corpus = {
+      {0, 1, 2, 2, 0, 1, 0, 2, 1, 1, 2, 0, 0, 2, 1, 2, 0, 1, 1, 0, 2, 2, 1, 0},
+      {2, 2, 1, 0, 0, 1, 2, 1, 0, 2, 0, 1, 2, 0, 0, 1, 1}};
+  const std::vector<Schedule> mutants =
+      draw_mutants(corpus, kProcs, /*seed=*/42, /*count=*/300);
+  std::vector<int> seen(static_cast<std::size_t>(Shape::kNone) + 1, 0);
+  for (const Schedule& m : mutants) {
+    const Shape shape = shape_of(m, corpus, kProcs);
+    EXPECT_NE(shape, Shape::kNone) << "mutant of no known shape, length "
+                                   << m.size();
+    ++seen[static_cast<std::size_t>(shape)];
+  }
+  // The five kinds are drawn uniformly, so each shows up in about a fifth
+  // of the mutants; a kind broken into another shape falls far below a
+  // tenth.
+  for (Shape shape : {Shape::kTruncate, Shape::kTranspose, Shape::kShift,
+                      Shape::kBurst, Shape::kSplice}) {
+    EXPECT_GE(seen[static_cast<std::size_t>(shape)], 30)
+        << "shape " << static_cast<int>(shape) << " drawn too rarely";
+  }
+  EXPECT_EQ(draw_mutants(corpus, kProcs, 42, 300), mutants)
+      << "the same seed must give the same mutants";
 }
 
 // ---- the seeded bug -------------------------------------------------------

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -18,6 +19,7 @@
 #include "core/timestamp.hpp"
 #include "native/native_system.hpp"
 #include "native/recorder.hpp"
+#include "runtime/coro.hpp"
 #include "util/assert.hpp"
 
 namespace {
@@ -294,6 +296,48 @@ TEST(NativeSystem, RunIsSingleUse) {
   NativeSystem<std::int64_t> sys(1, 0, std::move(programs));
   (void)sys.run(1);
   EXPECT_THROW((void)sys.run(1), stamped::invariant_error);
+}
+
+/// The lowest and highest frame addresses a probe has seen.
+struct FrameSpan {
+  std::uintptr_t lo = UINTPTR_MAX;
+  std::uintptr_t hi = 0;
+};
+
+[[gnu::noinline]] void record_frame(FrameSpan& span) {
+  const auto addr =
+      reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
+  span.lo = std::min(span.lo, addr);
+  span.hi = std::max(span.hi, addr);
+}
+
+runtime::SubTask<std::int64_t> probed_read(
+    atomicmem::DirectCtx<std::int64_t>& ctx, FrameSpan& span) {
+  const std::int64_t v = co_await ctx.read(0);
+  record_frame(span);
+  co_return v;
+}
+
+runtime::ProcessTask probed_reads(atomicmem::DirectCtx<std::int64_t>& ctx,
+                                  int count, FrameSpan& span) {
+  for (int k = 0; k < count; ++k) (void)co_await probed_read(ctx, span);
+}
+
+TEST(NativeSystem, StackStaysFlatAcrossSubTasks) {
+  // No native awaiter suspends, so every subtask starts and finishes inside
+  // its process's one resume. The stack must not grow with the number of
+  // subtasks awaited: only a tail call would hide such growth, and an
+  // unoptimized build makes none.
+  FrameSpan span;
+  std::vector<NativeSystem<std::int64_t>::Program> programs;
+  programs.push_back([&span](atomicmem::DirectCtx<std::int64_t>& ctx) {
+    return probed_reads(ctx, 20000, span);
+  });
+  NativeSystem<std::int64_t> sys(1, 0, std::move(programs));
+  (void)sys.run(1);
+  ASSERT_LE(span.lo, span.hi);
+  EXPECT_LT(span.hi - span.lo, std::uintptr_t{64} * 1024)
+      << "the stack grew by " << span.hi - span.lo << " bytes";
 }
 
 TEST(Harness, BackendAndSourceMustAgree) {
