@@ -79,16 +79,21 @@ struct alignas(kLinePair) LinePairSlot {
 /// for the duration of one dereferencing access; trimmers free a retired
 /// node only when its retirement epoch precedes every pinned epoch.
 ///
-/// Safety argument (all epoch traffic is seq_cst, so one total order): a
+/// Safety argument. The pin announcement, the cell loads and swaps, the
+/// drain and the pin scan are seq_cst, so they share one total order: a
 /// reader that still holds node N announced its pin BEFORE loading N from
 /// the cell, which is before the write that unlinked N, which is before N's
 /// retirement push. A trimmer drains the retirement stack FIRST and scans
 /// the pin slots after, so draining N places the scan after the reader's
 /// announcement in the total order — the scan must observe that pin (or a
-/// later one by the same thread), and min_pinned() <= pin epoch <= N's
-/// retirement epoch keeps N alive. The unpin store / pin-scan load pair on
-/// the slot also gives TSan the happens-before edge from the reader's last
-/// dereference to the eventual free.
+/// later store by the same thread), and min_pinned() <= pin epoch <= N's
+/// retirement epoch keeps N alive. The announcement must be seq_cst: it is a
+/// store that has to be ordered before the reader's next load (the cell),
+/// which release does not give. The unpin needs no such ordering — nothing
+/// the reader does after it has to stay behind it — so it is a release
+/// store: a scan that reads 0 (or any later pin) from the slot acquires it,
+/// so the reader's last dereference happens before the free. That edge is
+/// also the one TSan sees.
 class EpochDomain {
  public:
   /// Upper bound on threads concurrently touching node-cell memories. Slots
@@ -206,7 +211,7 @@ inline EpochDomain::Pin::Pin() : lease_(thread_lease()) {
 
 inline EpochDomain::Pin::~Pin() {
   if (--lease_.depth == 0) {
-    lease_.slot->epoch.store(0, std::memory_order_seq_cst);
+    lease_.slot->epoch.store(0, std::memory_order_release);
   }
 }
 

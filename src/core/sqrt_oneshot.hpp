@@ -60,8 +60,11 @@ enum class SqrtVariant {
   kNeverOverwrite,
 };
 
-/// Execution accounting shared by all getTS calls of one system run.
-/// Thread-safe; also used by the real-thread backend.
+/// The scans of one system run, in completion order: phase analysis
+/// (verify::analyze_phases) dates phase starts by them, and the engines
+/// report their count. Thread-safe; also used by the real-thread backend.
+/// Only a call that finds no valid register scans, so the lock stays off the
+/// common getTS path.
 class SqrtStats {
  public:
   struct ScanEvent {
@@ -69,35 +72,21 @@ class SqrtStats {
     std::uint64_t linearize_step = 0;  ///< canonical linearization step
     std::uint64_t collects = 0;
   };
-  struct CallEvent {
-    TsId id;
-    PairTimestamp ts;
-    std::uint64_t steps = 0;  ///< shared-memory steps used by this call
-  };
 
   void on_scan(int myrnd, std::uint64_t linearize_step,
                std::uint64_t collects) {
     std::lock_guard<std::mutex> lock(mu_);
     scans_.push_back({myrnd, linearize_step, collects});
   }
-  void on_call(TsId id, PairTimestamp ts, std::uint64_t steps) {
-    std::lock_guard<std::mutex> lock(mu_);
-    calls_.push_back({id, ts, steps});
-  }
 
   [[nodiscard]] std::vector<ScanEvent> scans() const {
     std::lock_guard<std::mutex> lock(mu_);
     return scans_;
   }
-  [[nodiscard]] std::vector<CallEvent> calls() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return calls_;
-  }
 
  private:
   mutable std::mutex mu_;
   std::vector<ScanEvent> scans_;
-  std::vector<CallEvent> calls_;
 };
 
 /// One getTS(ID) call (Algorithm 4), awaitable so that callers can chain
@@ -110,21 +99,22 @@ runtime::SubTask<PairTimestamp> sqrt_getts(
     Ctx& ctx, TsId id, int m, Log* log, SqrtStats* stats,
     SqrtVariant variant = SqrtVariant::kPaper) {
   const std::uint64_t invoked = ctx.stamp();
-  const std::uint64_t steps_before = ctx.my_steps();
 
-  // Lines 1-3: scan forward for the first ⊥ register, collecting values.
-  std::vector<TsRecord> r(static_cast<std::size_t>(m), TsRecord::bottom());
+  // Lines 1-3: scan forward for the first ⊥ register. Only the last non-⊥
+  // value, the paper's r[myrnd], is read later (line 7), so that is all
+  // this keeps.
+  TsRecord mine;
   int j = 0;
   for (;;) {
     STAMPED_ASSERT_MSG(j < m,
                        "space bound violated: no ⊥ register among " << m);
     TsRecord v = co_await ctx.read(j);
     if (v.is_bottom) break;
-    r[static_cast<std::size_t>(j)] = v;
+    mine = std::move(v);
     ++j;
   }
-  // Line 4: myrnd — the paper's 1-based round index; paper register R[myrnd]
-  // is r[myrnd-1] here.
+  // Line 4: myrnd — the paper's 1-based round index; `mine` is paper
+  // register R[myrnd] as read by lines 1-3.
   const int myrnd = j;
 
   PairTimestamp result;
@@ -142,17 +132,15 @@ runtime::SubTask<PairTimestamp> sqrt_getts(
     }
     // Line 7: valid iff r[myrnd].seq[j] == last(R[j].seq) (paper indices).
     TsRecord cur = co_await ctx.read(i);
-    const TsRecord& mine = r[static_cast<std::size_t>(myrnd - 1)];
     STAMPED_ASSERT_MSG(!cur.is_bottom,
                        "non-⊥ prefix invariant violated at register " << i);
     STAMPED_ASSERT_MSG(static_cast<int>(mine.seq.size()) == myrnd,
                        "phase record in R[" << myrnd - 1 << "] has seq length "
                                             << mine.seq.size() << ", expected "
                                             << myrnd);
-    TsRecord inval = TsRecord::make(std::vector<TsId>{id}, myrnd);
     if (mine.seq[static_cast<std::size_t>(i)] == cur.last()) {
       // Lines 8-9: invalidate the first valid register, return (myrnd, j).
-      co_await ctx.write(i, std::move(inval));
+      co_await ctx.write(i, TsRecord::make_one(id, myrnd));
       result = {myrnd, i + 1};
       returned = true;
     } else if (variant != SqrtVariant::kNeverOverwrite &&
@@ -162,7 +150,7 @@ runtime::SubTask<PairTimestamp> sqrt_getts(
       // phase; re-assert it for the current phase so it cannot be undone by
       // a slow phase-starter (see the discussion after Lemma 6.4). The
       // kAlwaysOverwrite ablation re-asserts unconditionally.
-      co_await ctx.write(i, std::move(inval));
+      co_await ctx.write(i, TsRecord::make_one(id, myrnd));
     }
   }
 
@@ -186,8 +174,7 @@ runtime::SubTask<PairTimestamp> sqrt_getts(
         seq.push_back(rec.last());
       }
       seq.push_back(id);
-      TsRecord starter = TsRecord::make(std::move(seq), myrnd + 1);
-      co_await ctx.write(myrnd, std::move(starter));
+      co_await ctx.write(myrnd, TsRecord::make(seq, myrnd + 1));
     }
     // Line 16.
     result = {myrnd + 1, 0};
@@ -195,9 +182,6 @@ runtime::SubTask<PairTimestamp> sqrt_getts(
 
   if (log != nullptr) {
     log->record({id.pid, id.call, result, invoked, ctx.stamp()});
-  }
-  if (stats != nullptr) {
-    stats->on_call(id, result, ctx.my_steps() - steps_before);
   }
   ctx.note_call_complete();
   co_return result;

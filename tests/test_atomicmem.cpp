@@ -45,29 +45,52 @@ TEST(AtomicMemory, PointerCellBasics) {
 }
 
 TEST(AtomicMemory, PointerCellConcurrentReadersAndWriters) {
-  // Hammer one record register from multiple threads; readers must always
-  // see a fully-formed record (no torn reads / UAF under ASAN-less builds,
-  // validated structurally here).
+  // Hammer one record register from multiple threads while epoch trims free
+  // retired nodes under live readers. Writer 0 installs one-id records
+  // (their id is inline), writer 1 installs 8-id records (each owns a heap
+  // array), so both shapes are freed under readers. A reader must always see
+  // ⊥ or one of the two well-formed shapes (no torn read or use after free;
+  // ASan and TSan check the same run).
+  constexpr std::size_t kLongIds = 8;
+  // Writer w's k-th record is <[pw.k pw.(k+1) ...], k>, 1 id long for
+  // writer 0 and kLongIds long for writer 1.
+  const auto length_of = [](int w) {
+    return w == 0 ? std::size_t{1} : kLongIds;
+  };
   AtomicMemory<TsRecord> mem(1, TsRecord::bottom());
   std::atomic<bool> stop{false};
   std::atomic<int> malformed{0};
+  const auto well_formed = [&](const TsRecord& rec) {
+    if (rec.is_bottom) return rec.seq.empty();
+    const int w = rec.seq.empty() ? -1 : rec.seq[0].pid;
+    if ((w != 0 && w != 1) || rec.rnd < 1 || rec.seq.size() != length_of(w)) {
+      return false;
+    }
+    for (std::size_t i = 0; i < rec.seq.size(); ++i) {
+      if (rec.seq[i] != core::TsId{w, static_cast<int>(rec.rnd) +
+                                          static_cast<int>(i)}) {
+        return false;
+      }
+    }
+    return true;
+  };
   {
     std::vector<std::jthread> threads;
     for (int w = 0; w < 2; ++w) {
       threads.emplace_back([&, w] {
         for (int k = 1; k <= 2000; ++k) {
-          mem.write(0, TsRecord::make({{w, k}}, k));
+          std::vector<core::TsId> ids;
+          for (std::size_t i = 0; i < length_of(w); ++i) {
+            ids.push_back({w, k + static_cast<int>(i)});
+          }
+          mem.write(0, TsRecord::make(ids, k));
         }
       });
     }
     for (int r = 0; r < 2; ++r) {
       threads.emplace_back([&] {
         while (!stop.load(std::memory_order_acquire)) {
-          const TsRecord rec = mem.read(0);
-          if (!rec.is_bottom &&
-              (rec.seq.empty() || rec.rnd < 1 || rec.seq.size() != 1)) {
-            malformed.fetch_add(1);
-          }
+          if (!well_formed(mem.read(0))) malformed.fetch_add(1);
         }
       });
     }
@@ -76,6 +99,7 @@ TEST(AtomicMemory, PointerCellConcurrentReadersAndWriters) {
     stop.store(true, std::memory_order_release);
   }
   EXPECT_EQ(malformed.load(), 0);
+  EXPECT_TRUE(well_formed(mem.read(0)));
 }
 
 TEST(DirectCtx, ImmediateAwaitersRunSynchronously) {

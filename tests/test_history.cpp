@@ -2,6 +2,9 @@
 // property checker (including that it *detects* violations).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/timestamp.hpp"
 #include "runtime/history.hpp"
 #include "verify/hb_checker.hpp"
@@ -278,6 +281,93 @@ TEST(Timestamp, ReprFormats) {
   auto rec2 = core::TsRecord::make({{1, 0}, {2, 0}}, 2);
   EXPECT_EQ(rec2.repr(), "<[p1.0 p2.0],2>");
   EXPECT_EQ(rec2.last(), (core::TsId{2, 0}));
+}
+
+// <[p0.0 p1.1 p2.2 p3.0 ...], rnd> with `length` ids, or ⊥ for length 0.
+core::TsRecord record_of_length(int length, std::int64_t rnd) {
+  if (length == 0) return core::TsRecord::bottom();
+  std::vector<core::TsId> ids;
+  for (int i = 0; i < length; ++i) ids.push_back({i, i % 3});
+  return core::TsRecord::make(ids, rnd);
+}
+
+TEST(Timestamp, RecordValueSemanticsAcrossInlineAndHeapShapes) {
+  // A one-id sequence lives inline and a longer one owns a heap array, so
+  // every copy, move and assignment between the two shapes must hand the
+  // array over exactly once (ASan and LSan check the ownership).
+  const std::vector<int> lengths{0, 1, 2, 64};
+  for (int a : lengths) {
+    SCOPED_TRACE("length " + std::to_string(a));
+    const core::TsRecord ra = record_of_length(a, 1 + a);
+    ASSERT_EQ(ra.seq.size(), static_cast<std::size_t>(a));
+    if (a > 0) {
+      EXPECT_EQ(ra.last(), (core::TsId{a - 1, (a - 1) % 3}));
+      EXPECT_EQ(ra.seq.back(), ra.last());
+    }
+    int i = 0;
+    for (const core::TsId& id : ra.seq) {
+      EXPECT_EQ(id, ra.seq[static_cast<std::size_t>(i)]);
+      EXPECT_EQ(id, (core::TsId{i, i % 3}));
+      ++i;
+    }
+    EXPECT_EQ(i, a);
+
+    core::TsRecord copy = ra;
+    EXPECT_EQ(copy, ra);
+    core::TsRecord moved = std::move(copy);
+    EXPECT_EQ(moved, ra);
+    // The moved-from record stays valid: empty, and usable again.
+    EXPECT_TRUE(copy.seq.empty());
+    copy = ra;
+    EXPECT_EQ(copy, ra);
+
+    for (int b : lengths) {
+      SCOPED_TRACE("assigned length " + std::to_string(b));
+      const core::TsRecord rb = record_of_length(b, 100 + b);
+      core::TsRecord copied_into = ra;
+      copied_into = rb;
+      EXPECT_EQ(copied_into, rb);
+      EXPECT_EQ(rb, record_of_length(b, 100 + b));  // the source is intact
+
+      core::TsRecord moved_into = ra;
+      core::TsRecord source = rb;
+      moved_into = std::move(source);
+      EXPECT_EQ(moved_into, rb);
+      EXPECT_TRUE(source.seq.empty());
+      source = ra;
+      EXPECT_EQ(source, ra);
+    }
+
+    // Self-assignment, through an alias so the compiler does not flag it.
+    core::TsRecord self = ra;
+    core::TsRecord& alias = self;
+    self = alias;
+    EXPECT_EQ(self, ra);
+    self = std::move(alias);
+    EXPECT_EQ(self, ra);
+  }
+
+  // Equality compares every id, the length and rnd.
+  const core::TsRecord two = record_of_length(2, 2);
+  EXPECT_EQ(two, core::TsRecord::make({{0, 0}, {1, 1}}, 2));
+  EXPECT_NE(two, core::TsRecord::make({{0, 0}, {1, 2}}, 2));
+  EXPECT_NE(two, core::TsRecord::make({{0, 0}, {1, 1}}, 3));
+  EXPECT_NE(two, core::TsRecord::make({{0, 0}}, 2));
+  EXPECT_NE(two, record_of_length(3, 2));
+  EXPECT_NE(two, core::TsRecord::bottom());
+  EXPECT_EQ(core::TsRecord::make_one({7, 1}, 4),
+            core::TsRecord::make({{7, 1}}, 4));
+  EXPECT_EQ(core::IdSeq(), core::IdSeq());
+  EXPECT_NE(core::IdSeq(core::TsId{0, 0}), core::IdSeq());
+
+  // The printed form does not depend on the shape.
+  EXPECT_EQ(record_of_length(1, 1).repr(), "<[p0.0],1>");
+  EXPECT_EQ(core::TsRecord::make_one({7, 1}, 4).repr(), "<[p7.1],4>");
+  EXPECT_EQ(two.repr(), "<[p0.0 p1.1],2>");
+  const std::string long_repr = record_of_length(64, 65).repr();
+  EXPECT_EQ(long_repr.rfind("<[p0.0 p1.1 p2.2 p3.0 ", 0), 0u) << long_repr;
+  EXPECT_NE(long_repr.find(" p62.2 p63.0],65>"), std::string::npos)
+      << long_repr;
 }
 
 TEST(Timestamp, CompareAlgorithm3) {

@@ -3,6 +3,9 @@
 // Section 7 growing variant.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
 #include <tuple>
 
 #include "core/growing_oneshot.hpp"
@@ -14,8 +17,69 @@
 
 namespace {
 
+// Global allocations are counted while this is set (see allocations_in).
+std::atomic<bool> g_count_allocations{false};
+std::atomic<std::uint64_t> g_allocations{0};
+
+void* counted_malloc(std::size_t size) noexcept {
+  if (g_count_allocations.load(std::memory_order_relaxed)) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+void* counted_new(std::size_t size) {
+  if (void* p = counted_malloc(size)) return p;
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+// This binary replaces the global allocation functions with counting ones.
+// Every form that allocates or frees with malloc is replaced, because a
+// sanitizer runtime defines each form itself and would otherwise see one
+// allocator's block freed by the other. The deletes stay out of line:
+// inlined, g++ would see free() meet operator new.
+void* operator new(std::size_t size) { return counted_new(size); }
+void* operator new[](std::size_t size) { return counted_new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_malloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_malloc(size);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
+
+namespace {
+
 using namespace stamped;
 using core::PairTimestamp;
+
+/// Global allocations made by `body()`.
+template <class Body>
+std::uint64_t allocations_in(Body&& body) {
+  const std::uint64_t before = g_allocations.load();
+  g_count_allocations.store(true);
+  body();
+  g_count_allocations.store(false);
+  return g_allocations.load() - before;
+}
+
+// Out of line, so the compiler cannot pair a copy's allocation with its
+// release and elide both.
+[[gnu::noinline]] core::TsRecord copy_of(const core::TsRecord& rec) {
+  return rec;
+}
+[[gnu::noinline]] void assign(core::TsRecord& to, const core::TsRecord& from) {
+  to = from;
+}
 
 TEST(SqrtOneShot, RegisterAllocationMatchesTheorem13) {
   EXPECT_EQ(core::sqrt_oneshot_registers(1), 2);
@@ -108,9 +172,9 @@ TEST(SqrtOneShot, WaitFreeStepBound) {
   // Lemma 6.14: the while-loop <= m-1 iterations, the for-loop <= m-2, and
   // the scan's collects are bounded by interfering writes. We assert a
   // generous concrete bound: every call finishes within O(m * (m + M)) steps.
+  // Each process makes exactly one call, so its step count is that call's.
   for (int n : {8, 32, 64}) {
-    core::SqrtStats stats;
-    auto sys = core::make_sqrt_oneshot_system(n, nullptr, &stats);
+    auto sys = core::make_sqrt_oneshot_system(n, nullptr);
     util::Rng rng(static_cast<std::uint64_t>(1000 + n));
     runtime::run_random(*sys, rng, 1 << 24);
     ASSERT_TRUE(sys->all_finished());
@@ -118,10 +182,33 @@ TEST(SqrtOneShot, WaitFreeStepBound) {
         static_cast<std::uint64_t>(core::sqrt_oneshot_registers(n));
     const std::uint64_t bound =
         4 * m * (m + static_cast<std::uint64_t>(n)) + 64;
-    for (const auto& call : stats.calls()) {
-      EXPECT_LE(call.steps, bound) << "call by " << call.id.repr();
+    for (int p = 0; p < n; ++p) {
+      EXPECT_EQ(sys->calls_completed(p), 1u) << "process " << p;
+      EXPECT_LE(sys->steps_taken_by(p), bound) << "call by process " << p;
     }
   }
+}
+
+TEST(SqrtOneShot, RecordCopiesAllocateOnlyForLongSequences) {
+  // Most register reads return a one-id invalidation record, and every read
+  // copies the record out of its register: that copy must not allocate. A
+  // phase starter's longer record owns one array, copied exactly once.
+  const core::TsRecord one = core::TsRecord::make({{3, 0}}, 2);
+  const core::TsRecord two = core::TsRecord::make({{1, 0}, {2, 0}}, 2);
+
+  core::TsRecord copy;
+  EXPECT_EQ(allocations_in([&] { copy = copy_of(one); }), 0u);
+  EXPECT_EQ(copy, one);
+  core::TsRecord target = core::TsRecord::bottom();
+  EXPECT_EQ(allocations_in([&] { assign(target, one); }), 0u);
+  EXPECT_EQ(target, one);
+  core::TsRecord long_target = two;
+  EXPECT_EQ(allocations_in([&] { assign(long_target, one); }), 0u);
+  EXPECT_EQ(long_target, one);
+
+  core::TsRecord long_copy;
+  EXPECT_EQ(allocations_in([&] { long_copy = copy_of(two); }), 1u);
+  EXPECT_EQ(long_copy, two);
 }
 
 TEST(SqrtOneShot, AdversarialStallersStillCorrect) {
