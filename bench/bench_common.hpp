@@ -1,6 +1,7 @@
-// Shared helpers for the table/figure benchmarks (see DESIGN.md §4 and
-// EXPERIMENTS.md). Each bench binary prints its paper-style table(s) first,
-// then runs its google-benchmark timing section.
+// Shared helpers for the table/figure benchmarks (docs/paper-map.md maps
+// each table to the paper). Each bench binary prints its paper-style
+// table(s) first, then runs its google-benchmark timing section unless it
+// was given --table-only.
 #pragma once
 
 #include <benchmark/benchmark.h>
@@ -15,13 +16,19 @@
 #include <vector>
 
 #include "api/harness.hpp"
-#include "core/simple_oneshot.hpp"
-#include "core/sqrt_oneshot.hpp"
+#include "api/registry.hpp"
 #include "runtime/scheduler.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
 namespace stamped::bench {
+
+/// The log-free simulated systems of registry family `family` with n
+/// processes making `calls` getTS calls each.
+inline runtime::SystemFactory family_factory(const char* family, int n,
+                                             int calls = 1) {
+  return api::family(family).factory({.n = n, .calls_per_process = calls});
+}
 
 /// Distinct registers written by a full random-schedule run of the system
 /// built by `factory`, maximized over `seeds`.

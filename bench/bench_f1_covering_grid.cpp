@@ -42,16 +42,17 @@ void render_for(const char* name, const runtime::SystemFactory& factory,
 
 void print_grids() {
   for (int n : {24, 50}) {
-    render_for("Algorithm 4", core::sqrt_oneshot_factory(n), n);
-    render_for("simple (Section 5)", core::simple_oneshot_factory(n), n);
+    render_for("Algorithm 4", bench::family_factory("sqrt-oneshot", n), n);
+    render_for("simple (Section 5)", bench::family_factory("simple-oneshot", n),
+               n);
   }
 }
 
 void BM_OneShotBuilder(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    auto result =
-        adversary::build_oneshot_covering(core::sqrt_oneshot_factory(n), n);
+    auto result = adversary::build_oneshot_covering(
+        bench::family_factory("sqrt-oneshot", n), n);
     benchmark::DoNotOptimize(result.j_last);
   }
 }
@@ -61,6 +62,7 @@ BENCHMARK(BM_OneShotBuilder)->Arg(24)->Arg(50);
 
 int main(int argc, char** argv) {
   print_grids();
+  if (stamped::bench::table_only(argc, argv)) return 0;
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -51,9 +51,8 @@ void print_case_summary() {
                      "m-log2(n)-2", "stop"});
   for (int n : {16, 32, 48, 64, 80}) {
     for (const char* alg : {"alg4", "simple"}) {
-      const auto factory = std::string(alg) == "alg4"
-                               ? core::sqrt_oneshot_factory(n)
-                               : core::simple_oneshot_factory(n);
+      const auto factory = bench::family_factory(
+          std::string(alg) == "alg4" ? "sqrt-oneshot" : "simple-oneshot", n);
       auto result = adversary::build_oneshot_covering(factory, n);
       table.add_row(
           {util::Table::fmt(static_cast<std::int64_t>(n)), alg,
@@ -71,7 +70,7 @@ void BM_BuilderRound(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
     auto result = adversary::build_oneshot_covering(
-        core::simple_oneshot_factory(n), n);
+        bench::family_factory("simple-oneshot", n), n);
     benchmark::DoNotOptimize(result.case2_count);
   }
 }
@@ -80,9 +79,11 @@ BENCHMARK(BM_BuilderRound)->Arg(32)->Arg(64);
 }  // namespace
 
 int main(int argc, char** argv) {
-  print_rounds("Algorithm 4", core::sqrt_oneshot_factory(50), 50);
-  print_rounds("simple (Section 5)", core::simple_oneshot_factory(50), 50);
+  print_rounds("Algorithm 4", bench::family_factory("sqrt-oneshot", 50), 50);
+  print_rounds("simple (Section 5)",
+               bench::family_factory("simple-oneshot", 50), 50);
   print_case_summary();
+  if (stamped::bench::table_only(argc, argv)) return 0;
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

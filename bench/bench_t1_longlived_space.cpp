@@ -12,7 +12,6 @@
 #include "generic_driver.hpp"
 
 #include "adversary/longlived_builder.hpp"
-#include "core/maxscan_longlived.hpp"
 #include "util/bounds.hpp"
 #include "util/table.hpp"
 
@@ -60,7 +59,7 @@ void print_table() {
 
 void BM_MaxScanGetTsSim(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  auto sys = core::make_maxscan_system(n, 1 << 20, nullptr);
+  auto sys = bench::family_factory("maxscan", n, 1 << 20)();
   int p = 0;
   for (auto _ : state) {
     runtime::run_solo_until_calls_complete(*sys, p, 1, 1 << 20);
@@ -76,7 +75,7 @@ void BM_LongLivedBuilder(benchmark::State& state) {
     adversary::LongLivedBuilderOptions opts;
     opts.recurrence_rounds = 4;
     auto result = adversary::build_longlived_covering(
-        core::maxscan_factory(n, 8), n, n / 2, opts);
+        bench::family_factory("maxscan", n, 8), n, n / 2, opts);
     benchmark::DoNotOptimize(result.registers_covered);
   }
 }

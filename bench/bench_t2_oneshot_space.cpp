@@ -79,7 +79,7 @@ void print_adversarial_table() {
 void BM_SimpleOneShotFullRun(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    auto sys = core::make_simple_oneshot_system(n, nullptr);
+    auto sys = bench::family_factory("simple-oneshot", n)();
     util::Rng rng(1);
     runtime::run_random(*sys, rng, std::uint64_t{1} << 32);
     benchmark::DoNotOptimize(sys->registers_written());
@@ -91,7 +91,7 @@ BENCHMARK(BM_SimpleOneShotFullRun)->Arg(16)->Arg(64)->Arg(256);
 void BM_SqrtOneShotFullRun(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    auto sys = core::make_sqrt_oneshot_system(n, nullptr);
+    auto sys = bench::family_factory("sqrt-oneshot", n)();
     util::Rng rng(1);
     runtime::run_random(*sys, rng, std::uint64_t{1} << 32);
     benchmark::DoNotOptimize(sys->registers_written());

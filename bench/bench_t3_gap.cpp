@@ -6,7 +6,6 @@
 // The gap ratio therefore grows as Theta(sqrt(n)).
 #include "bench_common.hpp"
 
-#include "core/maxscan_longlived.hpp"
 #include "util/bounds.hpp"
 #include "util/table.hpp"
 
@@ -41,14 +40,15 @@ void print_measured_table() {
       "T3b: measured gap (registers actually written, worst workload)",
       {"n", "longlived_written", "oneshot_written", "ratio"});
   for (int n : {16, 64, 128, 256}) {
-    auto ll = core::make_maxscan_system(n, 1, nullptr);
+    auto ll = bench::family_factory("maxscan", n)();
     util::Rng rng(static_cast<std::uint64_t>(n) + 7);
     runtime::run_random(*ll, rng, std::uint64_t{1} << 32);
     const int ll_written = ll->registers_written();
     // Sequential arrival is Algorithm 4's space worst case (random
     // interleavings collapse almost all calls into phase 1).
     const int os_written =
-        bench::registers_written_sequential(core::sqrt_oneshot_factory(n));
+        bench::registers_written_sequential(
+            bench::family_factory("sqrt-oneshot", n));
     table.add_row({util::Table::fmt(static_cast<std::int64_t>(n)),
                    util::Table::fmt(static_cast<std::int64_t>(ll_written)),
                    util::Table::fmt(static_cast<std::int64_t>(os_written)),
@@ -62,7 +62,7 @@ void BM_GapMeasurement(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
     const int os = bench::max_registers_written_random(
-        core::sqrt_oneshot_factory(n), {1});
+        bench::family_factory("sqrt-oneshot", n), {1});
     benchmark::DoNotOptimize(os);
   }
 }
@@ -73,6 +73,7 @@ BENCHMARK(BM_GapMeasurement)->Arg(64)->Arg(256);
 int main(int argc, char** argv) {
   print_table();
   print_measured_table();
+  if (stamped::bench::table_only(argc, argv)) return 0;
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

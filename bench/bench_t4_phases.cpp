@@ -5,12 +5,14 @@
 //   phases and at most 2M invalidation writes; only registers R[1..f] are
 //   written in phase f (Claim 6.8).
 //
-// Ablation (DESIGN.md #1): the "always overwrite invalid registers" repair
-// is correct but performs more writes; the table quantifies the write and
-// space inflation that the paper's line-10 guard avoids.
+// Ablation (core::SqrtVariant::kAlwaysOverwrite): the "always overwrite
+// invalid registers" repair is correct but performs more writes; the table
+// quantifies the write and space inflation that the paper's line-10 guard
+// avoids.
 #include "bench_common.hpp"
 
-#include "core/growing_oneshot.hpp"
+#include "api/engine_family.hpp"
+#include "api/engines.hpp"
 #include "util/bounds.hpp"
 #include "util/table.hpp"
 #include "verify/invariants.hpp"
@@ -29,38 +31,39 @@ struct RunOutcome {
 
 enum class Workload { kSequential, kStagger4, kStallers, kRandom };
 
-RunOutcome measure(int n, std::uint64_t seed, core::SqrtVariant variant,
+template <core::SqrtVariant Variant>
+RunOutcome measure(int n, std::uint64_t seed,
                    Workload workload = Workload::kSequential) {
-  core::SqrtStats stats;
-  // Use the generous growing pool so the ablated variant cannot trip the
-  // space assertion; the paper variant never needs the extra room.
-  auto sys = core::make_sqrt_oneshot_system(
-      n, nullptr, &stats, core::growing_pool_registers(n), variant);
+  // The growing engine's generous pool keeps the ablated variant from
+  // tripping the space assertion; the paper variant never needs the room.
+  api::EngineInstance<api::GrowingEngine<Variant>> inst({.n = n},
+                                                        api::Backend::kSim);
+  auto& sys = inst.sim();
   util::Rng rng(seed);
   switch (workload) {
     case Workload::kSequential:
-      bench::run_staggered(*sys, 1, rng);
+      bench::run_staggered(sys, 1, rng);
       break;
     case Workload::kStagger4:
-      bench::run_staggered(*sys, 4, rng);
+      bench::run_staggered(sys, 4, rng);
       break;
     case Workload::kStallers:
-      bench::run_with_stallers(*sys, rng);
+      bench::run_with_stallers(sys, rng);
       break;
     case Workload::kRandom:
-      runtime::run_random(*sys, rng, std::uint64_t{1} << 32);
+      runtime::run_random(sys, rng, std::uint64_t{1} << 32);
       break;
   }
-  runtime::check_no_failures(*sys);
-  auto analysis = verify::analyze_phases(*sys, stats, n);
+  runtime::check_no_failures(sys);
+  auto analysis = verify::analyze_phases(sys, inst.engine().stats(), n);
   RunOutcome out;
   out.phases = analysis.phases_started;
   out.invalidations = analysis.invalidation_writes;
   out.writes = analysis.total_writes;
-  out.regs_written = sys->registers_written();
-  out.bounds_ok = variant == core::SqrtVariant::kPaper
-                      ? analysis.bounds_ok()
-                      : true;  // the ablation intentionally exceeds nothing we assert
+  out.regs_written = sys.registers_written();
+  // The ablation intentionally exceeds nothing we assert.
+  out.bounds_ok =
+      Variant == core::SqrtVariant::kPaper ? analysis.bounds_ok() : true;
   return out;
 }
 
@@ -76,7 +79,7 @@ void print_phase_table() {
     for (Workload w : {Workload::kSequential, Workload::kStagger4,
                        Workload::kStallers, Workload::kRandom}) {
       for (std::uint64_t seed : bench::standard_seeds()) {
-        auto out = measure(m_calls, seed, core::SqrtVariant::kPaper, w);
+        auto out = measure<core::SqrtVariant::kPaper>(m_calls, seed, w);
         worst.phases = std::max(worst.phases, out.phases);
         worst.invalidations = std::max(worst.invalidations, out.invalidations);
         worst.writes = std::max(worst.writes, out.writes);
@@ -107,10 +110,10 @@ void print_ablation_table() {
     std::int64_t wp = 0, wa = 0;
     int rp = 0, ra = 0;
     for (std::uint64_t seed : bench::standard_seeds()) {
-      auto paper = measure(m_calls, seed, core::SqrtVariant::kPaper,
-                           Workload::kStagger4);
-      auto always = measure(m_calls, seed, core::SqrtVariant::kAlwaysOverwrite,
-                            Workload::kStagger4);
+      auto paper = measure<core::SqrtVariant::kPaper>(m_calls, seed,
+                                                      Workload::kStagger4);
+      auto always = measure<core::SqrtVariant::kAlwaysOverwrite>(
+          m_calls, seed, Workload::kStagger4);
       wp = std::max(wp, paper.writes);
       wa = std::max(wa, always.writes);
       rp = std::max(rp, paper.regs_written);
@@ -127,7 +130,7 @@ void print_ablation_table() {
 void BM_PhaseAnalysis(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    auto out = measure(n, 1, core::SqrtVariant::kPaper);
+    auto out = measure<core::SqrtVariant::kPaper>(n, 1);
     benchmark::DoNotOptimize(out.phases);
   }
 }
@@ -138,6 +141,7 @@ BENCHMARK(BM_PhaseAnalysis)->Arg(64)->Arg(256);
 int main(int argc, char** argv) {
   print_phase_table();
   print_ablation_table();
+  if (stamped::bench::table_only(argc, argv)) return 0;
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -15,12 +15,12 @@
 //   plain    — long-lived objects: persistent threads on one object.
 //
 // Every column runs through the same DirectCtx harness (the native
-// backend), so the comparison is apples-to-apples: each shared-memory op
-// also ticks the
-// shared event clock that the history machinery uses. In particular the
-// fetchadd column measures the baseline *family* under that harness, not
-// the bare primitive — the bare-atomic cost is BM_FetchAddGetTs in the
-// timing section below.
+// backend), so the comparison is apples-to-apples: each call stamps its
+// invocation and its response on the shared event clock that the history
+// machinery uses (register ops leave that clock alone) and records itself
+// in its process's arena. In particular the fetchadd column measures the
+// baseline *family* under that harness, not the bare primitive — the
+// bare-atomic cost is BM_FetchAddGetTs in the timing section below.
 //
 // Expected shape: fetch&add >> max-scan > bounded > simple > Algorithm 4 per
 // call (record registers pay pointer-swap + allocation costs); no run ever

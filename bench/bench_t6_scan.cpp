@@ -11,6 +11,8 @@
 // donates its view), at the cost of larger registers.
 #include "bench_common.hpp"
 
+#include "api/engine_family.hpp"
+#include "api/engines.hpp"
 #include "snapshot/double_collect.hpp"
 #include "snapshot/wait_free_snapshot.hpp"
 #include "util/table.hpp"
@@ -62,12 +64,11 @@ ScanCost measure_waitfree(int writers, int rounds, std::uint64_t seed) {
 /// Average collects of Algorithm 4's double-collect scan under contention,
 /// measured from SqrtStats.
 double measure_double_collect(int n, std::uint64_t seed) {
-  core::SqrtStats stats;
-  auto sys = core::make_sqrt_oneshot_system(n, nullptr, &stats);
+  api::EngineInstance<api::SqrtEngine> inst({.n = n}, api::Backend::kSim);
   util::Rng rng(seed);
-  runtime::run_random(*sys, rng, std::uint64_t{1} << 32);
-  runtime::check_no_failures(*sys);
-  const auto scans = stats.scans();
+  runtime::run_random(inst.system(), rng, std::uint64_t{1} << 32);
+  runtime::check_no_failures(inst.system());
+  const auto scans = inst.engine().stats().scans();
   if (scans.empty()) return 0;
   std::uint64_t total = 0;
   for (const auto& s : scans) total += s.collects;
@@ -105,7 +106,7 @@ void print_table() {
 void BM_DoubleCollectSolo(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    auto sys = core::make_sqrt_oneshot_system(n, nullptr);
+    auto sys = bench::family_factory("sqrt-oneshot", n)();
     runtime::run_solo_until_calls_complete(*sys, 0, 1, 1 << 20);
     benchmark::DoNotOptimize(sys->steps_taken());
   }
@@ -127,6 +128,7 @@ BENCHMARK(BM_WaitFreeSnapshotRound)->Arg(4)->Arg(8);
 
 int main(int argc, char** argv) {
   print_table();
+  if (stamped::bench::table_only(argc, argv)) return 0;
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -108,7 +108,8 @@ void BM_BoundedGetTsSim(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   // Huge call budget so the system never finishes during timing; modulus
   // fixed small (K = 9) — the hot path cost is the double-collect scan.
-  auto sys = core::make_bounded_system(n, 1 << 20, 9, nullptr);
+  auto sys = api::family("bounded").factory(
+      {.n = n, .calls_per_process = 1 << 20, .universe_bound = 9})();
   int p = 0;
   for (auto _ : state) {
     runtime::run_solo_until_calls_complete(*sys, p, 1, 1 << 20);
@@ -121,7 +122,7 @@ BENCHMARK(BM_BoundedGetTsSim)->Arg(8)->Arg(64)->Arg(256);
 void BM_BoundedFullRunRandom(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    auto sys = core::make_bounded_system(n, kCallsPerProcess, 0, nullptr);
+    auto sys = bench::family_factory("bounded", n, kCallsPerProcess)();
     util::Rng rng(1);
     runtime::run_random(*sys, rng, std::uint64_t{1} << 32);
     benchmark::DoNotOptimize(sys->registers_written());

@@ -35,8 +35,9 @@
 #include <memory>
 #include <optional>
 
+#include "api/engine_family.hpp"
+#include "api/engines.hpp"
 #include "atomicmem/atomic_memory.hpp"
-#include "core/maxscan_longlived.hpp"
 #include "core/timestamp.hpp"
 #include "snapshot/double_collect.hpp"
 #include "snapshot/versioned_collect.hpp"
@@ -50,11 +51,14 @@ using namespace stamped;
 constexpr int kT5Procs = 8;
 constexpr int kT5Calls = 2000;
 
-std::unique_ptr<runtime::System<std::int64_t>> t5_system(
+/// The T5 workload's max-scan instance; its typed system keeps the trace.
+std::unique_ptr<api::EngineInstance<api::MaxscanEngine>> t5_instance(
     runtime::RecordingMode mode) {
-  auto sys = core::make_maxscan_system(kT5Procs, kT5Calls, nullptr);
-  sys->set_recording_mode(mode);
-  return sys;
+  auto inst = std::make_unique<api::EngineInstance<api::MaxscanEngine>>(
+      api::ScenarioSpec{.n = kT5Procs, .calls_per_process = kT5Calls},
+      api::Backend::kSim);
+  inst->sim().set_recording_mode(mode);
+  return inst;
 }
 
 struct ModeRun {
@@ -69,7 +73,8 @@ ModeRun run_mode(runtime::RecordingMode mode, int reps) {
   using Clock = std::chrono::steady_clock;
   ModeRun out;
   for (int r = 0; r < reps; ++r) {
-    auto sys = t5_system(mode);
+    const auto inst = t5_instance(mode);
+    runtime::System<std::int64_t>* sys = &inst->sim();
     const auto start = Clock::now();
     runtime::run_round_robin(*sys, std::uint64_t{1} << 32);
     const double secs = std::chrono::duration_cast<
@@ -168,20 +173,22 @@ void print_t8b() {
 
 void BM_SimStepsFull(benchmark::State& state) {
   for (auto _ : state) {
-    auto sys = t5_system(runtime::RecordingMode::kFull);
-    runtime::run_round_robin(*sys, std::uint64_t{1} << 32);
-    state.SetItemsProcessed(state.items_processed() +
-                            static_cast<std::int64_t>(sys->steps_taken()));
+    const auto inst = t5_instance(runtime::RecordingMode::kFull);
+    runtime::run_round_robin(inst->system(), std::uint64_t{1} << 32);
+    state.SetItemsProcessed(
+        state.items_processed() +
+        static_cast<std::int64_t>(inst->system().steps_taken()));
   }
 }
 BENCHMARK(BM_SimStepsFull)->Unit(benchmark::kMillisecond);
 
 void BM_SimStepsCountsOnly(benchmark::State& state) {
   for (auto _ : state) {
-    auto sys = t5_system(runtime::RecordingMode::kCountsOnly);
-    runtime::run_round_robin(*sys, std::uint64_t{1} << 32);
-    state.SetItemsProcessed(state.items_processed() +
-                            static_cast<std::int64_t>(sys->steps_taken()));
+    const auto inst = t5_instance(runtime::RecordingMode::kCountsOnly);
+    runtime::run_round_robin(inst->system(), std::uint64_t{1} << 32);
+    state.SetItemsProcessed(
+        state.items_processed() +
+        static_cast<std::int64_t>(inst->system().steps_taken()));
   }
 }
 BENCHMARK(BM_SimStepsCountsOnly)->Unit(benchmark::kMillisecond);

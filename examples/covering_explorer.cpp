@@ -12,8 +12,7 @@
 #include <string>
 
 #include "adversary/oneshot_builder.hpp"
-#include "core/simple_oneshot.hpp"
-#include "core/sqrt_oneshot.hpp"
+#include "api/registry.hpp"
 #include "util/grid.hpp"
 
 int main(int argc, char** argv) {
@@ -26,9 +25,9 @@ int main(int argc, char** argv) {
   }
   runtime::SystemFactory factory;
   if (alg == "alg4") {
-    factory = core::sqrt_oneshot_factory(n);
+    factory = api::family("sqrt-oneshot").factory({.n = n});
   } else if (alg == "simple") {
-    factory = core::simple_oneshot_factory(n);
+    factory = api::family("simple-oneshot").factory({.n = n});
   } else {
     std::cerr << "usage: covering_explorer [alg4|simple] [n]\n";
     return 1;

@@ -9,17 +9,23 @@
 // a customer who completed ticketing strictly before another is always
 // served first — FCFS fairness for non-overlapping arrivals.
 #include <algorithm>
+#include <atomic>
 #include <iostream>
-#include <map>
 #include <thread>
+#include <vector>
 
 #include "atomicmem/atomic_memory.hpp"
 #include "core/maxscan_longlived.hpp"
+#include "native/recorder.hpp"
+#include "runtime/coro.hpp"
 #include "verify/hb_checker.hpp"
 
 namespace {
 
 using namespace stamped;
+
+constexpr int kCustomers = 6;
+constexpr int kWaves = 3;
 
 struct Ticket {
   int customer = 0;
@@ -27,40 +33,41 @@ struct Ticket {
   std::int64_t stamp = 0;
 };
 
+/// Customer c takes its ticket of `wave`: one max-scan getTS, recorded in
+/// the customer's own arena (its call index is the wave).
+runtime::ProcessTask take_ticket(atomicmem::DirectCtx<std::int64_t>& ctx,
+                                 int c, int wave,
+                                 native::CallArena<std::int64_t>* arena) {
+  (void)co_await core::maxscan_getts(ctx, c, kCustomers, wave, arena);
+}
+
 }  // namespace
 
 int main() {
-  constexpr int kCustomers = 6;
-  constexpr int kWaves = 3;
-
   atomicmem::AtomicMemory<std::int64_t> mem(kCustomers, 0);
   std::atomic<std::uint64_t> clock{0};
-  runtime::CallLog<std::int64_t> log;
+  native::HistoryRecorder<std::int64_t> recorder(kCustomers);
 
   // Waves arrive strictly one after another (a barrier between waves); the
-  // customers inside one wave race each other.
-  std::vector<Ticket> tickets;
-  std::mutex tickets_mu;
+  // customers inside one wave race each other. Each customer's arena is
+  // written by one thread at a time: the barrier orders the waves.
   for (int wave = 0; wave < kWaves; ++wave) {
     std::vector<std::jthread> arrivals;
     for (int c = 0; c < kCustomers; ++c) {
       arrivals.emplace_back([&, c, wave] {
         atomicmem::DirectCtx<std::int64_t> ctx(&mem, c, &clock);
-        auto task = core::maxscan_program(ctx, c, kCustomers, 1, &log);
+        auto task = take_ticket(ctx, c, wave, &recorder.arena(c));
         task.handle().resume();
-        // The call log holds the timestamp; grab the newest entry for (c).
-        auto snap = log.snapshot();
-        for (auto it = snap.rbegin(); it != snap.rend(); ++it) {
-          if (it->pid == c) {
-            std::lock_guard<std::mutex> lock(tickets_mu);
-            tickets.push_back({c, wave, it->ts});
-            break;
-          }
-        }
       });
     }
   }
 
+  // The history holds every ticket; a record's call index is its wave.
+  const auto history = recorder.merged();
+  std::vector<Ticket> tickets;
+  for (const auto& rec : history) {
+    tickets.push_back({rec.pid, rec.call_index, rec.ts});
+  }
   std::sort(tickets.begin(), tickets.end(), [](const Ticket& a,
                                                const Ticket& b) {
     if (a.stamp != b.stamp) return core::compare(a.stamp, b.stamp);
@@ -79,8 +86,7 @@ int main() {
     last_wave_served = std::max(last_wave_served, t.wave);
   }
 
-  auto report =
-      verify::check_timestamp_property(log.snapshot(), core::Compare{});
+  auto report = verify::check_timestamp_property(history, core::Compare{});
   std::cout << "\nFCFS across waves: " << (fair ? "OK" : "VIOLATED")
             << "; timestamp property: " << (report.ok() ? "OK" : "VIOLATED")
             << "\n";

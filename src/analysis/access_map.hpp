@@ -2,11 +2,9 @@
 //
 // An AccessMap accumulates, per register, which pids read it, which pids
 // wrote it and with which op kinds, over any number of dry-run executions.
-// Two producers fill it: analysis::AnalysisCtx instruments typed programs
-// directly (immediate-execution awaiters, no scheduler), and
-// analysis::observe_footprint harvests the step-info log of type-erased
-// systems driven through schedules. Both feed the same diff against the
-// family's declared FootprintSpec (analysis::lint_footprints).
+// analysis::observe_footprint fills it from the step-info log of a family's
+// systems driven through a schedule battery; analysis::lint_footprints
+// diffs it against the family's declared FootprintSpec.
 #pragma once
 
 #include <cstdint>

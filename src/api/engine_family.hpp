@@ -13,12 +13,16 @@
 // history recorder, and builds its system from one program loop over
 // E::getts. On the simulator every stamp is unique and each record is
 // appended right after its response stamp, so the recorder's merge is the
-// order in which the calls completed, on either backend.
+// order in which the calls completed, on either backend. Tests and benches
+// that need the family's own types build an EngineInstance<E> directly and
+// read its typed system (sim()), its typed records (records()) and its
+// engine (engine(), for per-run statistics).
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "api/engine.hpp"
 #include "api/family.hpp"
@@ -80,6 +84,23 @@ class EngineInstance final : public FamilyInstance {
     native::RunStats raw = native_sys_->run(threads);
     return native_run_stats(std::move(raw), recorder_.arena_bytes());
   }
+
+  // Typed read access, for tests and benches that inspect register values,
+  // exact timestamps or the engine's statistics.
+
+  /// The simulated system (not taken, not native).
+  [[nodiscard]] runtime::System<typename E::V>& sim() {
+    STAMPED_ASSERT_MSG(native_sys_ == nullptr, "sim() on a native instance");
+    return static_cast<runtime::System<typename E::V>&>(system());
+  }
+
+  /// Every recorded call with its typed timestamp, in completion order.
+  [[nodiscard]] std::vector<runtime::CallRecord<typename E::Ts>> records()
+      const {
+    return recorder_.merged();
+  }
+
+  [[nodiscard]] const E& engine() const { return engine_; }
 
  private:
   E engine_;

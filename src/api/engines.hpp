@@ -161,17 +161,24 @@ struct SqrtEngine
     return {{"scans", static_cast<std::int64_t>(stats_.scans().size())}};
   }
 
+  /// The run's scans (verify::analyze_phases dates phases by them).
+  [[nodiscard]] const core::SqrtStats& stats() const { return stats_; }
+
   template <class Ctx, class Log>
   runtime::SubTask<Ts> getts(Ctx& ctx, const Geometry& g, int pid, int k,
                              Log* log) {
     return core::sqrt_getts(ctx, core::TsId{pid, k}, g.regs, log, &stats_);
   }
 
- private:
+ protected:
   core::SqrtStats stats_;
 };
 
 /// Algorithm 4 on the growing pool (no a-priori bound baked into the label).
+/// `Variant` selects the paper's algorithm (the registered family) or one of
+/// core::SqrtVariant's deliberate deviations; the pool has room for every
+/// phase either can start, so a deviation cannot trip the space assertion.
+template <core::SqrtVariant Variant = core::SqrtVariant::kPaper>
 struct GrowingEngine : SqrtEngine {
   static constexpr FamilyInfo kInfo{
       .name = "growing-oneshot",
@@ -201,6 +208,13 @@ struct GrowingEngine : SqrtEngine {
                              : std::uint64_t{0};
                 },
             .may_be_unwritten = detail::alg4_frontier_may_be_unwritten};
+  }
+
+  template <class Ctx, class Log>
+  runtime::SubTask<Ts> getts(Ctx& ctx, const Geometry& g, int pid, int k,
+                             Log* log) {
+    return core::sqrt_getts(ctx, core::TsId{pid, k}, g.regs, log, &stats_,
+                            Variant);
   }
 };
 
@@ -285,6 +299,8 @@ struct BoundedEngine : EngineBase<core::BoundedLabel, core::BoundedTimestamp,
     return {{"wraps", static_cast<std::int64_t>(stats_.wraps())},
             {"collects", static_cast<std::int64_t>(stats_.collects())}};
   }
+
+  [[nodiscard]] const core::BoundedStats& stats() const { return stats_; }
 
   template <class Ctx, class Log>
   runtime::SubTask<Ts> getts(Ctx& ctx, const Geometry& g, int pid, int k,

@@ -8,7 +8,7 @@ namespace stamped::api {
 const std::vector<TimestampFamily>& registry() {
   static const std::vector<TimestampFamily> families = {
       engine_family<MaxscanEngine>(),  engine_family<SimpleEngine>(),
-      engine_family<SqrtEngine>(),     engine_family<GrowingEngine>(),
+      engine_family<SqrtEngine>(),     engine_family<GrowingEngine<>>(),
       engine_family<FetchAddEngine>(), engine_family<BoundedEngine>(),
   };
   return families;

@@ -78,7 +78,7 @@ struct ScenarioSpec {
   int native_threads = 0;
   /// Sharded-service routing (src/shard/). shard.shards == 0 runs the plain
   /// unsharded family; >= 1 runs it through ShardedInstance.
-  ShardSpec shard;
+  ShardSpec shard{};
 
   [[nodiscard]] bool sharded() const { return shard.shards > 0; }
 

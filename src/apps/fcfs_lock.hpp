@@ -36,8 +36,8 @@
 #include <vector>
 
 #include "core/maxscan_longlived.hpp"
+#include "native/recorder.hpp"
 #include "runtime/coro.hpp"
-#include "runtime/history.hpp"
 #include "runtime/system.hpp"
 #include "util/assert.hpp"
 
@@ -87,7 +87,7 @@ class BakeryLog {
 template <class Ctx>
 runtime::SubTask<std::int64_t> bakery_cycle(
     Ctx& ctx, BakeryLayout layout, int pid, int round, BakeryLog* log,
-    runtime::CallLog<std::int64_t>* ts_log) {
+    native::CallArena<std::int64_t>* ts_log) {
   BakeryAcquisition acq;
   acq.pid = pid;
   acq.round = round;
@@ -134,24 +134,27 @@ runtime::SubTask<std::int64_t> bakery_cycle(
 template <class Ctx>
 runtime::ProcessTask bakery_worker_program(
     Ctx& ctx, BakeryLayout layout, int pid, int rounds, BakeryLog* log,
-    runtime::CallLog<std::int64_t>* ts_log) {
+    native::CallArena<std::int64_t>* ts_log) {
   for (int r = 0; r < rounds; ++r) {
     co_await bakery_cycle(ctx, layout, pid, r, log, ts_log);
   }
 }
 
 /// Builds an n-process bakery-lock simulation, `rounds` cycles per process.
+/// `ts_log`, unless null, records every ticket's getTS call (process p into
+/// its arena p).
 inline std::unique_ptr<runtime::System<std::int64_t>> make_bakery_system(
     int n, int rounds, BakeryLog* log,
-    runtime::CallLog<std::int64_t>* ts_log = nullptr) {
+    native::HistoryRecorder<std::int64_t>* ts_log = nullptr) {
   STAMPED_ASSERT(n >= 1 && rounds >= 1);
   using Sys = runtime::System<std::int64_t>;
   const BakeryLayout layout{n};
   std::vector<Sys::Program> programs;
   programs.reserve(static_cast<std::size_t>(n));
   for (int p = 0; p < n; ++p) {
-    programs.push_back([layout, p, rounds, log, ts_log](Sys::Ctx& ctx) {
-      return bakery_worker_program(ctx, layout, p, rounds, log, ts_log);
+    auto* arena = ts_log != nullptr ? &ts_log->arena(p) : nullptr;
+    programs.push_back([layout, p, rounds, log, arena](Sys::Ctx& ctx) {
+      return bakery_worker_program(ctx, layout, p, rounds, log, arena);
     });
   }
   return std::make_unique<Sys>(BakeryLayout::registers(n), std::int64_t{0},

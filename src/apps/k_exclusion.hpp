@@ -29,7 +29,7 @@ namespace stamped::apps {
 template <class Ctx>
 runtime::SubTask<std::int64_t> kexclusion_cycle(
     Ctx& ctx, BakeryLayout layout, int pid, int round, int k, BakeryLog* log,
-    runtime::CallLog<std::int64_t>* ts_log) {
+    native::CallArena<std::int64_t>* ts_log) {
   BakeryAcquisition acq;
   acq.pid = pid;
   acq.round = round;
@@ -80,25 +80,26 @@ runtime::SubTask<std::int64_t> kexclusion_cycle(
 template <class Ctx>
 runtime::ProcessTask kexclusion_worker_program(
     Ctx& ctx, BakeryLayout layout, int pid, int rounds, int k, BakeryLog* log,
-    runtime::CallLog<std::int64_t>* ts_log) {
+    native::CallArena<std::int64_t>* ts_log) {
   for (int r = 0; r < rounds; ++r) {
     co_await kexclusion_cycle(ctx, layout, pid, r, k, log, ts_log);
   }
 }
 
-/// Builds an n-process k-exclusion simulation.
+/// Builds an n-process k-exclusion simulation; `ts_log` as for
+/// make_bakery_system.
 inline std::unique_ptr<runtime::System<std::int64_t>> make_kexclusion_system(
     int n, int k, int rounds, BakeryLog* log,
-    runtime::CallLog<std::int64_t>* ts_log = nullptr) {
+    native::HistoryRecorder<std::int64_t>* ts_log = nullptr) {
   STAMPED_ASSERT(n >= 1 && k >= 1 && rounds >= 1);
   using Sys = runtime::System<std::int64_t>;
   const BakeryLayout layout{n};
   std::vector<Sys::Program> programs;
   programs.reserve(static_cast<std::size_t>(n));
   for (int p = 0; p < n; ++p) {
-    programs.push_back([layout, p, rounds, k, log, ts_log](Sys::Ctx& ctx) {
-      return kexclusion_worker_program(ctx, layout, p, rounds, k, log,
-                                       ts_log);
+    auto* arena = ts_log != nullptr ? &ts_log->arena(p) : nullptr;
+    programs.push_back([layout, p, rounds, k, log, arena](Sys::Ctx& ctx) {
+      return kexclusion_worker_program(ctx, layout, p, rounds, k, log, arena);
     });
   }
   return std::make_unique<Sys>(BakeryLayout::registers(n), std::int64_t{0},

@@ -74,30 +74,4 @@ bool bounded_pair_within_window(
   return true;
 }
 
-std::unique_ptr<runtime::System<BoundedLabel>> make_bounded_system(
-    int n, int calls_per_process, std::int32_t modulus,
-    runtime::CallLog<BoundedTimestamp>* log, BoundedStats* stats) {
-  STAMPED_ASSERT(n >= 1 && calls_per_process >= 1);
-  modulus = bounded_modulus(calls_per_process, modulus);
-  using Sys = runtime::System<BoundedLabel>;
-  std::vector<Sys::Program> programs;
-  programs.reserve(static_cast<std::size_t>(n));
-  for (int p = 0; p < n; ++p) {
-    programs.push_back(
-        [p, n, modulus, calls_per_process, log, stats](Sys::Ctx& ctx) {
-          return bounded_program(ctx, p, n, modulus, calls_per_process, log,
-                                 stats);
-        });
-  }
-  return std::make_unique<Sys>(n, BoundedLabel{}, std::move(programs));
-}
-
-runtime::SystemFactory bounded_factory(int n, int calls_per_process,
-                                       std::int32_t modulus) {
-  return [n, calls_per_process,
-          modulus]() -> std::unique_ptr<runtime::ISystem> {
-    return make_bounded_system(n, calls_per_process, modulus, nullptr);
-  };
-}
-
 }  // namespace stamped::core

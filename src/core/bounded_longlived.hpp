@@ -46,16 +46,13 @@
 // integers. bench_t7_bounded tabulates the comparison.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "runtime/coro.hpp"
 #include "runtime/history.hpp"
-#include "runtime/scheduler.hpp"
-#include "runtime/system.hpp"
 #include "snapshot/versioned_collect.hpp"
 #include "util/assert.hpp"
 
@@ -132,34 +129,25 @@ struct BoundedCompare {
     const runtime::CallRecord<BoundedTimestamp>& b, std::int32_t modulus);
 
 /// Aggregate accounting for one system run (wrap events = recycled labels).
-/// Thread-safe, mirroring SqrtStats.
+/// Every bounded getTS reports here, on real threads too, so the counters are
+/// relaxed atomics rather than a lock; read them once the run is over.
 class BoundedStats {
  public:
   void on_call(std::uint64_t collects, bool wrapped) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++calls_;
-    collects_ += collects;
-    if (wrapped) ++wraps_;
+    collects_.fetch_add(collects, std::memory_order_relaxed);
+    if (wrapped) wraps_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  [[nodiscard]] std::uint64_t calls() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return calls_;
-  }
   [[nodiscard]] std::uint64_t collects() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return collects_;
+    return collects_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] std::uint64_t wraps() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return wraps_;
+    return wraps_.load(std::memory_order_relaxed);
   }
 
  private:
-  mutable std::mutex mu_;
-  std::uint64_t calls_ = 0;
-  std::uint64_t collects_ = 0;
-  std::uint64_t wraps_ = 0;
+  std::atomic<std::uint64_t> collects_{0};
+  std::atomic<std::uint64_t> wraps_{0};
 };
 
 /// One getTS() by process `pid` in an n-process bounded system; awaitable so
@@ -196,29 +184,5 @@ runtime::SubTask<BoundedTimestamp> bounded_getts(Ctx& ctx, int pid, int n,
   ctx.note_call_complete();
   co_return ts;
 }
-
-/// Long-lived program: process `pid` performs `num_calls` getTS calls.
-template <class Ctx, class Log>
-runtime::ProcessTask bounded_program(Ctx& ctx, int pid, int n,
-                                     std::int32_t modulus, int num_calls,
-                                     Log* log, BoundedStats* stats) {
-  for (int k = 0; k < num_calls; ++k) {
-    co_await bounded_getts(ctx, pid, n, modulus, k, log, stats);
-  }
-}
-
-/// Builds an n-process long-lived bounded system where every process performs
-/// `calls_per_process` getTS calls, on bounded_modulus(calls_per_process,
-/// modulus): `modulus` <= 0 selects the smallest modulus whose window covers
-/// the whole execution; an explicit smaller modulus exercises
-/// recycling beyond the window (pair checks must then be filtered through
-/// bounded_pair_within_window).
-std::unique_ptr<runtime::System<BoundedLabel>> make_bounded_system(
-    int n, int calls_per_process, std::int32_t modulus,
-    runtime::CallLog<BoundedTimestamp>* log, BoundedStats* stats = nullptr);
-
-/// Deterministic factory for replay-based adversaries and the explorer.
-runtime::SystemFactory bounded_factory(int n, int calls_per_process,
-                                       std::int32_t modulus = 0);
 
 }  // namespace stamped::core

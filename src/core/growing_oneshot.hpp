@@ -14,10 +14,6 @@
 // as if registers were materialized on demand.
 #pragma once
 
-#include <memory>
-
-#include "core/sqrt_oneshot.hpp"
-
 namespace stamped::core {
 
 /// A safe register pool size for `total_calls` invocations: each call starts
@@ -25,32 +21,6 @@ namespace stamped::core {
 /// non-⊥; one extra ⊥ sentinel terminates the initial while-loop.
 [[nodiscard]] constexpr int growing_pool_registers(int total_calls) {
   return total_calls + 2;
-}
-
-/// Builds an n-process one-shot system running Algorithm 4 with an
-/// effectively unbounded register pool (no dependence on M in the algorithm).
-inline std::unique_ptr<runtime::System<TsRecord>> make_growing_oneshot_system(
-    int n, runtime::CallLog<PairTimestamp>* log, SqrtStats* stats = nullptr) {
-  return make_sqrt_oneshot_system(n, log, stats,
-                                  growing_pool_registers(n));
-}
-
-/// Growing variant with `calls_per_process` calls per process.
-inline std::unique_ptr<runtime::System<TsRecord>> make_growing_bounded_system(
-    int n, int calls_per_process, runtime::CallLog<PairTimestamp>* log,
-    SqrtStats* stats = nullptr) {
-  STAMPED_ASSERT(n >= 1 && calls_per_process >= 1);
-  using Sys = runtime::System<TsRecord>;
-  const int total = n * calls_per_process;
-  const int m = growing_pool_registers(total);
-  std::vector<Sys::Program> programs;
-  programs.reserve(static_cast<std::size_t>(n));
-  for (int p = 0; p < n; ++p) {
-    programs.push_back([p, m, calls_per_process, log, stats](Sys::Ctx& ctx) {
-      return sqrt_calls_program(ctx, p, calls_per_process, m, log, stats);
-    });
-  }
-  return std::make_unique<Sys>(m, TsRecord::bottom(), std::move(programs));
 }
 
 }  // namespace stamped::core

@@ -10,31 +10,31 @@
 // decrease (a process only writes max+1 of a collect that included its own
 // register), so t2 >= t1 + 1 > t1.
 //
-// Substitution note (see DESIGN.md): the paper's Theta(n) comparator is the
-// n-1 register algorithm of Ellen, Fatourou & Ruppert, whose construction is
-// not given in this paper. The n-register max-scan preserves the Theta(n)
-// shape that Theorem 1.1 (n/6 - 1 lower bound) makes asymptotically tight.
+// Substitution note (see docs/paper-map.md): the paper's Theta(n) comparator
+// is the n-1 register algorithm of Ellen, Fatourou & Ruppert, whose
+// construction is not given in this paper. The n-register max-scan
+// preserves the Theta(n) shape that Theorem 1.1 (n/6 - 1 lower bound) makes
+// asymptotically tight.
 //
 // Wait-free: every call takes exactly n + 1 steps.
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "core/timestamp.hpp"
+#include "native/recorder.hpp"
 #include "runtime/coro.hpp"
-#include "runtime/history.hpp"
-#include "runtime/scheduler.hpp"
 #include "runtime/system.hpp"
 
 namespace stamped::core {
 
 /// One getTS() by process `pid` in an n-process max-scan object; awaitable so
 /// long-lived programs chain calls. Returns the timestamp. `Log` is any
-/// recorder of CallRecord<int64_t> — runtime::CallLog on the simulator,
-/// native::CallArena on real threads.
+/// recorder of CallRecord<int64_t> (a native::CallArena on either backend).
 template <class Ctx, class Log>
 runtime::SubTask<std::int64_t> maxscan_getts(Ctx& ctx, int pid, int n,
                                              int call_index, Log* log) {
@@ -61,27 +61,24 @@ runtime::ProcessTask maxscan_program(Ctx& ctx, int pid, int n, int num_calls,
   }
 }
 
-/// Builds an n-process long-lived max-scan system where every process
-/// performs `calls_per_process` getTS calls.
+/// Builds an n-process long-lived max-scan system that records no history,
+/// where every process performs `calls_per_process` getTS calls. Only
+/// perfbench's step probe still calls this and maxscan_program directly; the
+/// family's engine (api::MaxscanEngine) builds every other max-scan system.
 inline std::unique_ptr<runtime::System<std::int64_t>> make_maxscan_system(
-    int n, int calls_per_process, runtime::CallLog<std::int64_t>* log) {
+    int n, int calls_per_process, std::nullptr_t /*log*/) {
   STAMPED_ASSERT(n >= 1 && calls_per_process >= 1);
   using Sys = runtime::System<std::int64_t>;
   std::vector<Sys::Program> programs;
   programs.reserve(static_cast<std::size_t>(n));
   for (int p = 0; p < n; ++p) {
-    programs.push_back([p, n, calls_per_process, log](Sys::Ctx& ctx) {
-      return maxscan_program(ctx, p, n, calls_per_process, log);
+    programs.push_back([p, n, calls_per_process](Sys::Ctx& ctx) {
+      return maxscan_program(
+          ctx, p, n, calls_per_process,
+          static_cast<native::CallArena<std::int64_t>*>(nullptr));
     });
   }
   return std::make_unique<Sys>(n, std::int64_t{0}, std::move(programs));
-}
-
-/// Deterministic factory for replay-based adversaries.
-inline runtime::SystemFactory maxscan_factory(int n, int calls_per_process) {
-  return [n, calls_per_process]() -> std::unique_ptr<runtime::ISystem> {
-    return make_maxscan_system(n, calls_per_process, nullptr);
-  };
 }
 
 }  // namespace stamped::core

@@ -12,14 +12,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "core/timestamp.hpp"
 #include "runtime/coro.hpp"
-#include "runtime/history.hpp"
-#include "runtime/scheduler.hpp"
-#include "runtime/system.hpp"
+#include "util/assert.hpp"
 #include "util/math.hpp"
 
 namespace stamped::core {
@@ -34,9 +30,9 @@ namespace stamped::core {
 
 /// One simple-getTS() call by process `pid` in an n-process system
 /// (Algorithm 2). Appends the returned integer timestamp to `log` if non-null
-/// (`Log` is runtime::CallLog or native::CallArena). `call_index` is the
-/// caller's k (always 0 under the one-shot discipline; the sharded service
-/// reuses the algorithm per shard and records the client's global k).
+/// (`Log` is native::CallArena). `call_index` is the caller's k (always 0
+/// under the one-shot discipline; the sharded service reuses the algorithm
+/// per shard and records the client's global k).
 template <class Ctx, class Log>
 runtime::SubTask<std::int64_t> simple_getts(Ctx& ctx, int pid, int n,
                                             int call_index, Log* log) {
@@ -62,38 +58,6 @@ runtime::SubTask<std::int64_t> simple_getts(Ctx& ctx, int pid, int n,
   }
   ctx.note_call_complete();
   co_return sum;
-}
-
-/// The classic whole-program form: exactly one simple-getTS() by `pid`.
-template <class Ctx, class Log>
-runtime::ProcessTask simple_getts_program(Ctx& ctx, int pid, int n, Log* log) {
-  co_await simple_getts(ctx, pid, n, 0, log);
-}
-
-/// Builds an n-process simulation of the simple one-shot object. Every
-/// process performs exactly one simple-getTS(). `log` may be null (the
-/// adversary benchmarks do not need call records) but must outlive the system
-/// otherwise.
-inline std::unique_ptr<runtime::System<std::int64_t>>
-make_simple_oneshot_system(int n, runtime::CallLog<std::int64_t>* log) {
-  STAMPED_ASSERT(n >= 1);
-  using Sys = runtime::System<std::int64_t>;
-  std::vector<Sys::Program> programs;
-  programs.reserve(static_cast<std::size_t>(n));
-  for (int p = 0; p < n; ++p) {
-    programs.push_back([p, n, log](Sys::Ctx& ctx) {
-      return simple_getts_program(ctx, p, n, log);
-    });
-  }
-  return std::make_unique<Sys>(simple_oneshot_registers(n), std::int64_t{0},
-                               std::move(programs));
-}
-
-/// Deterministic factory for replay-based adversaries.
-inline runtime::SystemFactory simple_oneshot_factory(int n) {
-  return [n]() -> std::unique_ptr<runtime::ISystem> {
-    return make_simple_oneshot_system(n, nullptr);
-  };
 }
 
 }  // namespace stamped::core

@@ -22,16 +22,14 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "core/timestamp.hpp"
 #include "runtime/coro.hpp"
-#include "runtime/history.hpp"
-#include "runtime/scheduler.hpp"
-#include "runtime/system.hpp"
 #include "snapshot/versioned_collect.hpp"
+#include "util/assert.hpp"
 #include "util/bounds.hpp"
 
 namespace stamped::core {
@@ -44,7 +42,9 @@ namespace stamped::core {
   return static_cast<int>(m < 2 ? 2 : m);
 }
 
-/// Algorithm 4 variants (DESIGN.md ablation #1).
+/// Algorithm 4 variants: the paper's algorithm, the T4b ablation and the
+/// test_mutation mutant. api::GrowingEngine takes one as a template
+/// parameter.
 enum class SqrtVariant {
   /// The paper's algorithm: on an invalid register, overwrite only when the
   /// stale record's rnd is below myrnd (line 10's guard).
@@ -93,7 +93,7 @@ class SqrtStats {
 /// multiple calls (the bounded-M generalization). Returns the timestamp.
 /// `m` is the register count; the system must perform at most M total calls
 /// with sqrt_oneshot_registers(M) <= m. `log` and `stats` may be null (`Log`
-/// is runtime::CallLog or native::CallArena over PairTimestamp).
+/// is native::CallArena over PairTimestamp).
 template <class Ctx, class Log>
 runtime::SubTask<PairTimestamp> sqrt_getts(
     Ctx& ctx, TsId id, int m, Log* log, SqrtStats* stats,
@@ -187,77 +187,20 @@ runtime::SubTask<PairTimestamp> sqrt_getts(
   co_return result;
 }
 
-/// Top-level program: one getTS call by process `id.pid`.
+/// Program performing `calls` consecutive getTS calls (IDs "pid.k"). Only
+/// perfbench's solo probe still calls it; the family engines
+/// (api::SqrtEngine, api::GrowingEngine) build every Algorithm 4 system.
 ///
-/// NOTE for all *_program coroutines in this library: they are free
+/// NOTE for every program coroutine in this library: programs are free
 /// functions, not capturing lambdas, because coroutine parameters are copied
 /// into the frame while lambda captures live in the (short-lived) closure
 /// object.
 template <class Ctx, class Log>
-runtime::ProcessTask sqrt_getts_program(Ctx& ctx, TsId id, int m, Log* log,
-                                        SqrtStats* stats,
-                                        SqrtVariant variant = SqrtVariant::kPaper) {
-  co_await sqrt_getts(ctx, id, m, log, stats, variant);
-}
-
-/// Program performing `calls` consecutive getTS calls (IDs "pid.k").
-template <class Ctx, class Log>
 runtime::ProcessTask sqrt_calls_program(Ctx& ctx, int pid, int calls, int m,
-                                        Log* log, SqrtStats* stats,
-                                        SqrtVariant variant = SqrtVariant::kPaper) {
+                                        Log* log, SqrtStats* stats) {
   for (int k = 0; k < calls; ++k) {
-    co_await sqrt_getts(ctx, TsId{pid, k}, m, log, stats, variant);
+    co_await sqrt_getts(ctx, TsId{pid, k}, m, log, stats);
   }
-}
-
-/// Builds an n-process one-shot simulation of Algorithm 4 (M = n, one call
-/// per process, ID = process id). `log`/`stats` may be null but must outlive
-/// the system otherwise. `registers_override` (if > 0) replaces the computed
-/// register count — used by tests that probe the space bound.
-inline std::unique_ptr<runtime::System<TsRecord>> make_sqrt_oneshot_system(
-    int n, runtime::CallLog<PairTimestamp>* log, SqrtStats* stats = nullptr,
-    int registers_override = 0,
-    SqrtVariant variant = SqrtVariant::kPaper) {
-  STAMPED_ASSERT(n >= 1);
-  using Sys = runtime::System<TsRecord>;
-  const int m =
-      registers_override > 0 ? registers_override : sqrt_oneshot_registers(n);
-  std::vector<Sys::Program> programs;
-  programs.reserve(static_cast<std::size_t>(n));
-  for (int p = 0; p < n; ++p) {
-    programs.push_back([p, m, log, stats, variant](Sys::Ctx& ctx) {
-      return sqrt_getts_program(ctx, TsId{p, 0}, m, log, stats, variant);
-    });
-  }
-  return std::make_unique<Sys>(m, TsRecord::bottom(), std::move(programs));
-}
-
-/// Deterministic factory for replay-based adversaries.
-inline runtime::SystemFactory sqrt_oneshot_factory(int n) {
-  return [n]() -> std::unique_ptr<runtime::ISystem> {
-    return make_sqrt_oneshot_system(n, nullptr, nullptr);
-  };
-}
-
-/// Builds a system where each of the n processes performs
-/// `calls_per_process` consecutive getTS calls — the bounded-M
-/// generalization of Section 6 (M = n * calls_per_process, IDs are "p.k").
-inline std::unique_ptr<runtime::System<TsRecord>> make_sqrt_bounded_system(
-    int n, int calls_per_process, runtime::CallLog<PairTimestamp>* log,
-    SqrtStats* stats = nullptr) {
-  STAMPED_ASSERT(n >= 1 && calls_per_process >= 1);
-  using Sys = runtime::System<TsRecord>;
-  const std::int64_t total_calls =
-      static_cast<std::int64_t>(n) * calls_per_process;
-  const int m = sqrt_oneshot_registers(total_calls);
-  std::vector<Sys::Program> programs;
-  programs.reserve(static_cast<std::size_t>(n));
-  for (int p = 0; p < n; ++p) {
-    programs.push_back([p, m, calls_per_process, log, stats](Sys::Ctx& ctx) {
-      return sqrt_calls_program(ctx, p, calls_per_process, m, log, stats);
-    });
-  }
-  return std::make_unique<Sys>(m, TsRecord::bottom(), std::move(programs));
 }
 
 }  // namespace stamped::core

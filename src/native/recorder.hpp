@@ -1,22 +1,24 @@
-// Lock-free history recorder for real-thread executions.
+// The history recorder: how every family records its calls, on either
+// backend.
 //
-// The simulator's runtime::CallLog takes a mutex per record — fine for a
-// deterministic scheduler stepping one coroutine at a time, but a
-// serialization point that would poison a native throughput measurement (and
-// perturb the very interleavings the run exists to produce). Here each
-// worker appends to its own arena: a chain of growing blocks touched by
-// exactly one thread, so the hot path is a bump-pointer store with no shared
-// state at all. The shared completion clock (DirectCtx::stamp, one atomic
-// fetch_add) is the only cross-thread traffic per call, and it is the same
-// clock that stamps invocations — stamps are therefore unique and totally
-// ordered across threads, which is what lets the merge sort records into the
-// real-time order the checkers need.
+// api::EngineInstance owns one HistoryRecorder per scenario (the sharded
+// service one per shard plus one for its composed history) and gives
+// process p's program the arena of p, so each completed getTS appends its
+// CallRecord to an arena that only p's program writes. On real threads that
+// program runs on one worker at a time, so the hot path is a bump-pointer
+// store with no lock and no shared state at all; on the simulator the
+// programs take turns on one thread. The shared completion clock
+// (DirectCtx::stamp, one atomic fetch_add; SimCtx::stamp on the simulator)
+// is the only cross-thread traffic per call, and it is the same clock that
+// stamps invocations — stamps are therefore unique and totally ordered,
+// which is what lets the merge sort records into the real-time order the
+// checkers need.
 //
 // merged() runs at quiesce, after every program has finished: plain reads
-// of per-thread arenas with no concurrent writers (NativeSystem::run's
+// of per-process arenas with no concurrent writers (NativeSystem::run's
 // acquire of the last program's completion count is the synchronization),
-// then one stable sort by completion stamp. Nothing in the
-// recorder blocks, spins, or retries at any point.
+// then one stable sort by completion stamp. Nothing in the recorder blocks,
+// spins, or retries at any point.
 #pragma once
 
 #include <algorithm>

@@ -11,7 +11,7 @@
 //
 // Two task types are provided:
 //  - ProcessTask: the top-level program of one process (returns nothing;
-//    results are recorded through runtime::CallLog).
+//    results are recorded as runtime::CallRecords in a native::CallArena).
 //  - SubTask<T>: a nested coroutine (e.g. the double-collect scan) awaited by
 //    a ProcessTask or another SubTask. Suspension inside a subtask suspends
 //    the whole logical process; completion resumes the awaiter.

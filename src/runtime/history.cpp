@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "util/assert.hpp"
+
 namespace stamped::runtime {
 
 std::string schedule_to_string(const std::vector<int>& schedule,

@@ -1,19 +1,18 @@
 // Method-call histories and the happens-before relation.
 //
-// Programs record every completed method call (getTS) in a CallLog. A call g1
-// happens before g2 (paper: g1 -> g2) iff g1's response event precedes g2's
-// invocation event. Event stamps come from SimCtx::stamp() in simulation or
-// from a shared atomic counter under real threads; in both cases stamps are
-// strictly monotone across events, so `responded_at < invoked_at` captures
-// the real-time precedence relation soundly.
+// Programs record every completed method call (getTS) as a CallRecord, into
+// their process's native::CallArena (native/recorder.hpp) on either backend.
+// A call g1 happens before g2 (paper: g1 -> g2) iff g1's response event
+// precedes g2's invocation event. Event stamps come from SimCtx::stamp() in
+// simulation or from a shared atomic counter under real threads; in both
+// cases stamps are strictly monotone across events, so
+// `responded_at < invoked_at` captures the real-time precedence relation
+// soundly.
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
-
-#include "util/assert.hpp"
 
 namespace stamped::runtime {
 
@@ -30,39 +29,6 @@ struct CallRecord {
   [[nodiscard]] bool happens_before(const CallRecord& other) const {
     return responded_at < other.invoked_at;
   }
-};
-
-/// Append-only log of completed calls. Thread-safe (used by both the
-/// single-threaded simulator and real-thread stress tests).
-template <class Ts>
-class CallLog {
- public:
-  void record(CallRecord<Ts> rec) {
-    std::lock_guard<std::mutex> lock(mu_);
-    STAMPED_ASSERT_MSG(rec.invoked_at < rec.responded_at,
-                       "call must span at least one event");
-    records_.push_back(std::move(rec));
-  }
-
-  /// Snapshot of all records (copy; safe to iterate while others record).
-  [[nodiscard]] std::vector<CallRecord<Ts>> snapshot() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return records_;
-  }
-
-  [[nodiscard]] std::size_t size() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return records_.size();
-  }
-
-  void clear() {
-    std::lock_guard<std::mutex> lock(mu_);
-    records_.clear();
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::vector<CallRecord<Ts>> records_;
 };
 
 /// Renders a schedule as a compact string, e.g. "0 1 1 2" (debugging aid).

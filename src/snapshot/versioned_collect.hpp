@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "runtime/coro.hpp"
+#include "runtime/value.hpp"
 #include "snapshot/double_collect.hpp"
 #include "util/assert.hpp"
 

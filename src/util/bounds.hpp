@@ -3,7 +3,7 @@
 // These are the quantities that appear in the theorems of Helmi, Higham,
 // Pacheco & Woelfel (PODC 2011) and in the cited Ellen–Fatourou–Ruppert
 // bounds. Benchmarks print these next to measured register usage so that the
-// paper's tables can be regenerated (see EXPERIMENTS.md).
+// paper's tables can be regenerated (docs/paper-map.md lists the benches).
 #pragma once
 
 #include <cstdint>

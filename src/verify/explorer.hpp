@@ -101,7 +101,7 @@
 namespace stamped::verify {
 
 /// One disposable system instance with a validity check bound to it (the
-/// check typically inspects a CallLog owned by the same closure).
+/// check typically inspects a history recorder owned by the same closure).
 struct ExplorationInstance {
   std::unique_ptr<runtime::ISystem> sys;
   std::function<std::optional<std::string>()> check;

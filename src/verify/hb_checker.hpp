@@ -5,7 +5,7 @@
 // returns false. This is the *only* requirement of the weak timestamp object;
 // concurrent calls may return arbitrary (even equal) timestamps.
 //
-// The checker takes the CallLog recorded by the programs and verifies the
+// The checker takes the call records the programs recorded and verifies the
 // property over all ordered pairs, plus basic sanity of compare itself
 // (irreflexivity and asymmetry on the returned timestamps).
 //
@@ -208,7 +208,7 @@ HbReport check_per_process_monotonicity(
 /// violating ordered pair. With no violation, `ordered_pairs_checked` is
 /// counted by binary search over the sorted responses, and every other pair
 /// is concurrent: no pair is ordered both ways, because every call has
-/// invoked_at < responded_at (CallLog and the native recorder assert it).
+/// invoked_at < responded_at (the history recorder asserts it).
 ///
 /// Guards, each of which returns check_timestamp_property's report instead:
 /// a call with compare(t,t); an adjacent pair the sort left out of order (the
@@ -271,7 +271,7 @@ HbReport check_timestamp_property_sweep(
 /// the restart), and transitivity carries compare along the chain. Any
 /// adjacent pair that fails returns check_per_process_monotonicity's report.
 /// Like the count above, this relies on invoked_at < responded_at for every
-/// call, which CallLog and the native recorder assert.
+/// call, which the history recorder asserts.
 template <class Ts, class Cmp>
 HbReport check_per_process_monotonicity_sweep(
     const std::vector<runtime::CallRecord<Ts>>& records, Cmp cmp) {

@@ -1,8 +1,9 @@
-// The static-analysis layer: footprint extraction (typed AnalysisCtx
-// dry-runs and the ISystem schedule battery), the ownership lint against
-// deliberately broken families, lowering declared masks into the explorer's
-// WriteFootprints, and the happens-before ownership race detector — clean on
-// the real max-scan and catching a planted multi-writer variant.
+// The static-analysis layer: footprint extraction (the schedule battery over
+// each family's systems, and the access map it fills), the ownership lint
+// against deliberately broken families, lowering declared masks into the
+// explorer's WriteFootprints, and the happens-before ownership race
+// detector — clean on the real max-scan and catching a planted multi-writer
+// variant.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,10 +12,9 @@
 #include <optional>
 #include <vector>
 
-#include "analysis/analysis_ctx.hpp"
+#include "analysis/access_map.hpp"
 #include "analysis/footprint.hpp"
 #include "api/registry.hpp"
-#include "core/maxscan_longlived.hpp"
 #include "runtime/scheduler.hpp"
 #include "runtime/system.hpp"
 #include "util/rng.hpp"
@@ -55,46 +55,34 @@ runtime::SystemFactory rogue_maxscan_factory(int n, int calls) {
   };
 }
 
-TEST(AnalysisCtx, RecordsMaxscanSwmrFootprint) {
-  // The typed entry point: the same templated program that runs on the
-  // simulator and on real threads dry-runs under AnalysisCtx, and the
-  // recorded map shows the paper's SWMR layout.
+TEST(Footprint, MaxscanObservedSwmr) {
+  // The schedule battery over the family's own systems shows the paper's
+  // SWMR layout: register r written by process r only, `calls` times in
+  // every complete run, read by everyone, with reads and writes and no
+  // other op kind.
   const int n = 3;
   const int calls = 2;
-  analysis::AnalysisMemory<std::int64_t> mem(n, n, 0);
-  for (int p = 0; p < n; ++p) {
-    analysis::run_to_completion(
-        mem, p, [p, n, calls](analysis::AnalysisCtx<std::int64_t>& ctx) {
-          return core::maxscan_program(
-              ctx, p, n, calls,
-              static_cast<runtime::CallLog<std::int64_t>*>(nullptr));
-        });
-  }
-  const analysis::AccessMap& map = mem.map();
+  const analysis::ObservedFootprint obs = analysis::observe_footprint(
+      api::family("maxscan"), {.n = n, .calls_per_process = calls});
+  const analysis::AccessMap& map = obs.map;
   ASSERT_EQ(map.num_registers(), n);
+  ASSERT_GT(obs.complete_runs, 0u);
   for (int r = 0; r < n; ++r) {
     EXPECT_EQ(map.reg(r).writer_mask, bit(r)) << "reg " << r;
     EXPECT_EQ(map.reg(r).reader_mask, bit(0) | bit(1) | bit(2));
-    EXPECT_EQ(map.reg(r).writes, static_cast<std::uint64_t>(calls));
+    EXPECT_EQ(map.reg(r).writes, calls * obs.complete_runs) << "reg " << r;
     EXPECT_EQ(map.reg(r).op_kinds,
               (1u << static_cast<unsigned>(runtime::OpKind::kRead)) |
                   (1u << static_cast<unsigned>(runtime::OpKind::kWrite)));
   }
 }
 
-TEST(AnalysisCtx, SwapAndFetchAddCountAsReadAndWrite) {
-  analysis::AnalysisMemory<std::int64_t> mem(2, 2, 0);
-  analysis::run_to_completion(
-      mem, 1, [](analysis::AnalysisCtx<std::int64_t>& ctx)
-                  -> runtime::ProcessTask {
-        co_await ctx.write(0, 7);
-        const std::int64_t old = co_await ctx.swap(1, 5);
-        EXPECT_EQ(old, 0);
-        const std::int64_t prev = co_await ctx.fetch_add(0, 2);
-        EXPECT_EQ(prev, 7);
-        EXPECT_EQ(co_await ctx.read(0), 9);
-      });
-  const analysis::AccessMap& map = mem.map();
+TEST(AccessMap, SwapAndFetchAddCountAsReadAndWrite) {
+  analysis::AccessMap map(2, 2);
+  map.record(1, runtime::OpKind::kWrite, 0);
+  map.record(1, runtime::OpKind::kSwap, 1);
+  map.record(1, runtime::OpKind::kFetchAdd, 0);
+  map.record(1, runtime::OpKind::kRead, 0);
   EXPECT_EQ(map.reg(1).writer_mask, bit(1));
   EXPECT_EQ(map.reg(1).reader_mask, bit(1));  // swap observes the old value
   EXPECT_EQ(map.reg(0).writes, 2u);           // write + fetch_add

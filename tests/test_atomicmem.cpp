@@ -5,13 +5,12 @@
 
 #include <thread>
 
+#include "api/engine_family.hpp"
+#include "api/engines.hpp"
 #include "atomicmem/atomic_memory.hpp"
 #include "core/fetchadd_baseline.hpp"
-#include "core/maxscan_longlived.hpp"
-#include "core/simple_oneshot.hpp"
-#include "core/sqrt_oneshot.hpp"
 #include "core/timestamp.hpp"
-#include "native/native_system.hpp"
+#include "native/recorder.hpp"
 #include "verify/hb_checker.hpp"
 
 namespace {
@@ -19,9 +18,7 @@ namespace {
 using namespace stamped;
 using atomicmem::AtomicMemory;
 using atomicmem::DirectCtx;
-using core::PairTimestamp;
 using core::TsRecord;
-using native::NativeSystem;
 
 TEST(AtomicMemory, InlineCellBasics) {
   AtomicMemory<std::int64_t> mem(4, 7);
@@ -106,13 +103,20 @@ TEST(DirectCtx, ImmediateAwaitersRunSynchronously) {
   AtomicMemory<std::int64_t> mem(2, 0);
   std::atomic<std::uint64_t> clock{0};
   DirectCtx<std::int64_t> ctx(&mem, 0, &clock);
-  // Run a coroutine program to completion on this thread.
-  runtime::CallLog<std::int64_t> log;
-  auto task = core::simple_getts_program(ctx, 0, 2, &log);
+  // Run a coroutine program to completion on this thread: process 0's one
+  // call of a 2-process simple-oneshot object.
+  const api::ScenarioSpec spec{.n = 2};
+  api::SimpleEngine engine(spec);
+  native::CallArena<std::int64_t> arena;
+  auto task = api::engine_program(
+      ctx, &engine, api::engine_geometry<api::SimpleEngine>(spec), 0, 1,
+      &arena);
   task.handle().resume();
   EXPECT_TRUE(task.done());
-  EXPECT_EQ(log.size(), 1u);
-  EXPECT_EQ(log.snapshot()[0].ts, 1);
+  std::vector<runtime::CallRecord<std::int64_t>> records;
+  arena.append_to(records);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].ts, 1);
   EXPECT_EQ(ctx.calls_completed(), 1u);
   EXPECT_GT(ctx.my_steps(), 0u);
 }
@@ -144,20 +148,13 @@ TEST(DirectCtx, RegisterOpsCountAsStepsButLeaveTheClockAlone) {
 TEST(Threaded, SimpleOneShotPropertyUnderRealConcurrency) {
   const int n = 8;
   for (int trial = 0; trial < 20; ++trial) {
-    runtime::CallLog<std::int64_t> log;
-    std::vector<NativeSystem<std::int64_t>::Program> programs;
-    for (int p = 0; p < n; ++p) {
-      programs.push_back([p, n, &log](DirectCtx<std::int64_t>& ctx) {
-        return core::simple_getts_program(ctx, p, n, &log);
-      });
-    }
-    NativeSystem<std::int64_t> sys(core::simple_oneshot_registers(n), 0,
-                                   std::move(programs));
-    const auto stats = sys.run(n);
+    api::EngineInstance<api::SimpleEngine> inst({.n = n},
+                                                api::Backend::kNative);
+    const auto stats = inst.run_native(n);
     EXPECT_EQ(stats.calls, static_cast<std::uint64_t>(n));
-    ASSERT_EQ(static_cast<int>(log.size()), n);
-    auto report =
-        verify::check_timestamp_property(log.snapshot(), core::Compare{});
+    const auto records = inst.records();
+    ASSERT_EQ(static_cast<int>(records.size()), n);
+    auto report = verify::check_timestamp_property(records, core::Compare{});
     EXPECT_TRUE(report.ok()) << report.to_string();
   }
 }
@@ -165,23 +162,14 @@ TEST(Threaded, SimpleOneShotPropertyUnderRealConcurrency) {
 TEST(Threaded, SqrtOneShotPropertyUnderRealConcurrency) {
   const int n = 8;
   for (int trial = 0; trial < 20; ++trial) {
-    runtime::CallLog<PairTimestamp> log;
-    core::SqrtStats stats;
-    const int m = core::sqrt_oneshot_registers(n);
-    std::vector<NativeSystem<TsRecord>::Program> programs;
-    for (int p = 0; p < n; ++p) {
-      programs.push_back([p, m, &log, &stats](DirectCtx<TsRecord>& ctx) {
-        return core::sqrt_getts_program(ctx, core::TsId{p, 0}, m, &log,
-                                        &stats);
-      });
-    }
-    NativeSystem<TsRecord> sys(m, TsRecord::bottom(), std::move(programs));
-    const auto run = sys.run(n);
+    api::EngineInstance<api::SqrtEngine> inst({.n = n},
+                                              api::Backend::kNative);
+    const auto run = inst.run_native(n);
     EXPECT_EQ(run.calls, static_cast<std::uint64_t>(n));
     EXPECT_EQ(run.retired_nodes, 0u);  // quiesce freed the whole backlog
-    ASSERT_EQ(static_cast<int>(log.size()), n);
-    auto report =
-        verify::check_timestamp_property(log.snapshot(), core::Compare{});
+    const auto records = inst.records();
+    ASSERT_EQ(static_cast<int>(records.size()), n);
+    auto report = verify::check_timestamp_property(records, core::Compare{});
     EXPECT_TRUE(report.ok()) << report.to_string();
   }
 }
@@ -189,25 +177,18 @@ TEST(Threaded, SqrtOneShotPropertyUnderRealConcurrency) {
 TEST(Threaded, MaxScanLongLivedUnderRealConcurrency) {
   const int n = 4;
   const int calls = 16;
-  runtime::CallLog<std::int64_t> log;
-  std::vector<NativeSystem<std::int64_t>::Program> programs;
-  for (int p = 0; p < n; ++p) {
-    programs.push_back([p, n, calls, &log](DirectCtx<std::int64_t>& ctx) {
-      return core::maxscan_program(ctx, p, n, calls, &log);
-    });
-  }
-  NativeSystem<std::int64_t> sys(n, 0, std::move(programs));
-  const auto stats = sys.run(n);
+  api::EngineInstance<api::MaxscanEngine> inst(
+      {.n = n, .calls_per_process = calls}, api::Backend::kNative);
+  const auto stats = inst.run_native(n);
   EXPECT_EQ(stats.calls, static_cast<std::uint64_t>(n) * calls);
   // n reads + 1 write per call, whatever the interleaving: the counters the
   // workers harvest from their stack contexts must be exact.
   EXPECT_EQ(stats.ops, static_cast<std::uint64_t>(n) * calls * (n + 1));
-  ASSERT_EQ(static_cast<int>(log.size()), n * calls);
-  auto report =
-      verify::check_timestamp_property(log.snapshot(), core::Compare{});
+  const auto records = inst.records();
+  ASSERT_EQ(static_cast<int>(records.size()), n * calls);
+  auto report = verify::check_timestamp_property(records, core::Compare{});
   EXPECT_TRUE(report.ok()) << report.to_string();
-  auto mono =
-      verify::check_per_process_monotonicity(log.snapshot(), core::Compare{});
+  auto mono = verify::check_per_process_monotonicity(records, core::Compare{});
   EXPECT_TRUE(mono.ok()) << mono.to_string();
 }
 

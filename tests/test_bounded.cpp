@@ -12,6 +12,9 @@
 #include <set>
 #include <tuple>
 
+#include "api/engine_family.hpp"
+#include "api/engines.hpp"
+#include "api/registry.hpp"
 #include "core/bounded_longlived.hpp"
 #include "runtime/scheduler.hpp"
 #include "verify/explorer.hpp"
@@ -22,6 +25,13 @@ namespace {
 using namespace stamped;
 using core::BoundedCompare;
 using core::BoundedTimestamp;
+using Bounded = api::EngineInstance<api::BoundedEngine>;
+
+/// A bounded instance: n processes making `calls` getTS calls each on
+/// modulus `modulus` (0: the smallest whose window covers every call).
+api::ScenarioSpec bounded_spec(int n, int calls, std::int32_t modulus = 0) {
+  return {.n = n, .calls_per_process = calls, .universe_bound = modulus};
+}
 
 BoundedTimestamp ts(std::int32_t modulus, std::vector<std::int32_t> comps) {
   return {modulus, std::move(comps)};
@@ -115,16 +125,16 @@ TEST(BoundedCompare, ModulusAndBitsHelpers) {
 TEST(Bounded, UsesExactlyNRegistersAndBoundedValues) {
   const int n = 6;
   const int calls = 3;
-  runtime::CallLog<BoundedTimestamp> log;
-  auto sys = core::make_bounded_system(n, calls, 0, &log);
-  EXPECT_EQ(sys->num_registers(), n);
+  Bounded inst(bounded_spec(n, calls), api::Backend::kSim);
+  auto& sys = inst.system();
+  EXPECT_EQ(sys.num_registers(), n);
   util::Rng rng(11);
-  runtime::run_random(*sys, rng, 1 << 22);
-  ASSERT_TRUE(sys->all_finished());
-  runtime::check_no_failures(*sys);
-  EXPECT_EQ(sys->registers_written(), n);
+  runtime::run_random(sys, rng, 1 << 22);
+  ASSERT_TRUE(sys.all_finished());
+  runtime::check_no_failures(sys);
+  EXPECT_EQ(sys.registers_written(), n);
   const std::int32_t k = core::bounded_modulus_for(calls);
-  for (const auto& rec : log.snapshot()) {
+  for (const auto& rec : inst.records()) {
     EXPECT_EQ(rec.ts.modulus, k);
     ASSERT_EQ(static_cast<int>(rec.ts.comps.size()), n);
     for (std::int32_t c : rec.ts.comps) {
@@ -137,15 +147,15 @@ TEST(Bounded, UsesExactlyNRegistersAndBoundedValues) {
 TEST(Bounded, SequentialCallsAreStrictlyOrdered) {
   const int n = 4;
   const int calls = 2;
-  runtime::CallLog<BoundedTimestamp> log;
-  auto sys = core::make_bounded_system(n, calls, 0, &log);
+  Bounded inst(bounded_spec(n, calls), api::Backend::kSim);
+  auto& sys = inst.system();
   for (int round = 0; round < calls; ++round) {
     for (int p = 0; p < n; ++p) {
-      ASSERT_TRUE(runtime::run_solo_until_calls_complete(*sys, p, 1, 1000));
+      ASSERT_TRUE(runtime::run_solo_until_calls_complete(sys, p, 1, 1000));
     }
   }
-  runtime::check_no_failures(*sys);
-  auto records = log.snapshot();
+  runtime::check_no_failures(sys);
+  auto records = inst.records();
   ASSERT_EQ(records.size(), static_cast<std::size_t>(n * calls));
   // In a fully sequential run every pair of calls is ordered; compare must
   // agree with the execution order over the whole history.
@@ -164,35 +174,35 @@ TEST(Bounded, ConcurrentCallsMayShareTimestamps) {
   // Both processes scan before either writes: identical vectors except the
   // own component — concurrent, and legal under the weak specification.
   const int n = 2;
-  runtime::CallLog<BoundedTimestamp> log;
-  auto sys = core::make_bounded_system(n, 1, 0, &log);
+  Bounded inst(bounded_spec(n, 1), api::Backend::kSim);
+  auto& sys = inst.system();
   // Each getTS: 2 collects x 2 reads, then 1 write = 5 steps.
-  runtime::run_script(*sys, std::vector<int>{0, 0, 0, 0, 1, 1, 1, 1, 0, 1});
-  ASSERT_TRUE(sys->all_finished());
-  runtime::check_no_failures(*sys);
-  auto records = log.snapshot();
+  runtime::run_script(sys, std::vector<int>{0, 0, 0, 0, 1, 1, 1, 1, 0, 1});
+  ASSERT_TRUE(sys.all_finished());
+  runtime::check_no_failures(sys);
+  auto records = inst.records();
   ASSERT_EQ(records.size(), 2u);
-  auto report = verify::check_timestamp_property(log.snapshot(),
-                                                 BoundedCompare{});
+  auto report = verify::check_timestamp_property(records, BoundedCompare{});
   EXPECT_TRUE(report.ok()) << report.to_string();
 }
 
 // -- exhaustive exploration (model checking) ---------------------------------
 
 verify::ExplorationInstance bounded_instance(int n, int calls) {
-  auto log = std::make_shared<runtime::CallLog<BoundedTimestamp>>();
+  auto owner =
+      std::make_shared<Bounded>(bounded_spec(n, calls), api::Backend::kSim);
   verify::ExplorationInstance inst;
-  inst.sys = core::make_bounded_system(n, calls, 0, log.get());
-  inst.check = [log, n, calls]() -> std::optional<std::string> {
-    if (static_cast<int>(log->size()) != n * calls) {
+  inst.sys = owner->take_system();
+  inst.check = [owner, n, calls]() -> std::optional<std::string> {
+    const auto records = owner->records();
+    if (static_cast<int>(records.size()) != n * calls) {
       return "expected " + std::to_string(n * calls) + " calls, saw " +
-             std::to_string(log->size());
+             std::to_string(records.size());
     }
-    auto report =
-        verify::check_timestamp_property(log->snapshot(), BoundedCompare{});
+    auto report = verify::check_timestamp_property(records, BoundedCompare{});
     if (!report.ok()) return report.to_string();
-    auto mono = verify::check_per_process_monotonicity(log->snapshot(),
-                                                       BoundedCompare{});
+    auto mono =
+        verify::check_per_process_monotonicity(records, BoundedCompare{});
     if (!mono.ok()) return mono.to_string();
     return std::nullopt;
   };
@@ -234,16 +244,15 @@ TEST(BoundedRecycling, LongRunWrapsAndSatisfiesWindowedProperty) {
   const int calls = 12;
   const std::int32_t k = 5;
   for (std::uint64_t seed : {7u, 8u, 9u}) {
-    runtime::CallLog<BoundedTimestamp> log;
-    core::BoundedStats stats;
-    auto sys = core::make_bounded_system(n, calls, k, &log, &stats);
+    Bounded inst(bounded_spec(n, calls, k), api::Backend::kSim);
+    auto& sys = inst.system();
     util::Rng rng(seed);
-    runtime::run_random(*sys, rng, 1 << 24);
-    ASSERT_TRUE(sys->all_finished());
-    runtime::check_no_failures(*sys);
-    ASSERT_EQ(static_cast<int>(log.size()), n * calls);
-    EXPECT_GT(stats.wraps(), 0u);  // labels actually recycled
-    auto records = log.snapshot();
+    runtime::run_random(sys, rng, 1 << 24);
+    ASSERT_TRUE(sys.all_finished());
+    runtime::check_no_failures(sys);
+    auto records = inst.records();
+    ASSERT_EQ(static_cast<int>(records.size()), n * calls);
+    EXPECT_GT(inst.engine().stats().wraps(), 0u);  // labels actually recycled
     auto filter = [&records, k](const runtime::CallRecord<BoundedTimestamp>& a,
                                 const runtime::CallRecord<BoundedTimestamp>& b) {
       return core::bounded_pair_within_window(records, a, b, k);
@@ -262,18 +271,18 @@ TEST(BoundedRecycling, LongRunWrapsAndSatisfiesWindowedProperty) {
 TEST(BoundedRecycling, StatsCountCallsAndCollects) {
   const int n = 3;
   const int calls = 4;
-  core::BoundedStats stats;
-  auto sys = core::make_bounded_system(n, calls, 0, nullptr, &stats);
+  Bounded inst(bounded_spec(n, calls), api::Backend::kSim);
+  auto& sys = inst.system();
   util::Rng rng(3);
-  runtime::run_random(*sys, rng, 1 << 22);
-  ASSERT_TRUE(sys->all_finished());
-  EXPECT_EQ(stats.calls(), static_cast<std::uint64_t>(n * calls));
+  runtime::run_random(sys, rng, 1 << 22);
+  ASSERT_TRUE(sys.all_finished());
+  EXPECT_EQ(sys.calls_completed_total(), static_cast<std::uint64_t>(n * calls));
   // Every scan performs at least two collects.
-  EXPECT_GE(stats.collects(), 2 * stats.calls());
+  EXPECT_GE(inst.engine().stats().collects(), 2 * sys.calls_completed_total());
 }
 
 TEST(Bounded, FactoryIsDeterministic) {
-  auto factory = core::bounded_factory(3, 2);
+  auto factory = api::family("bounded").factory(bounded_spec(3, 2));
   auto a = factory();
   auto b = factory();
   const std::vector<int> script{0, 1, 2, 0, 1, 2, 0, 0, 1, 2};

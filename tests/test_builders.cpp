@@ -14,9 +14,7 @@
 
 #include "adversary/longlived_builder.hpp"
 #include "adversary/oneshot_builder.hpp"
-#include "core/maxscan_longlived.hpp"
-#include "core/simple_oneshot.hpp"
-#include "core/sqrt_oneshot.hpp"
+#include "api/registry.hpp"
 #include "util/math.hpp"
 
 namespace {
@@ -24,9 +22,15 @@ namespace {
 using namespace stamped;
 using namespace stamped::adversary;
 
+/// The log-free simulated systems of `family` with n processes making
+/// `calls` getTS calls each.
+runtime::SystemFactory factory_of(const char* family, int n, int calls = 1) {
+  return api::family(family).factory({.n = n, .calls_per_process = calls});
+}
+
 TEST(Lemma41, InitialApplicationPausesAllButOne) {
   const int n = 10;
-  auto factory = core::sqrt_oneshot_factory(n);
+  auto factory = factory_of("sqrt-oneshot", n);
   std::vector<int> all;
   for (int p = 0; p < n; ++p) all.push_back(p);
   auto out = apply_lemma41(factory, {}, {}, {}, {}, all, 200000);
@@ -48,7 +52,7 @@ TEST(Lemma41, WithRealBlockWritesOnSqrt) {
   // Reach a configuration with register 0 covered 9 times, then apply the
   // lemma with genuine non-empty block writes.
   const int n = 24;
-  auto factory = core::sqrt_oneshot_factory(n);
+  auto factory = factory_of("sqrt-oneshot", n);
   auto sys = factory();
   std::unordered_set<int> nothing;
   for (int p = 0; p < 9; ++p) {
@@ -70,7 +74,7 @@ class OneShotBuilderSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(OneShotBuilderSweep, SqrtAlgorithmReachesTheoremBound) {
   const int n = GetParam();
-  auto result = build_oneshot_covering(core::sqrt_oneshot_factory(n), n);
+  auto result = build_oneshot_covering(factory_of("sqrt-oneshot", n), n);
   EXPECT_TRUE(result.all_checks_ok) << result.summary();
   EXPECT_LE(result.case2_count,
             static_cast<int>(std::ceil(std::log2(n))) + 1)
@@ -87,7 +91,7 @@ TEST_P(OneShotBuilderSweep, SqrtAlgorithmReachesTheoremBound) {
 
 TEST_P(OneShotBuilderSweep, SimpleAlgorithmReachesTheoremBound) {
   const int n = GetParam();
-  auto result = build_oneshot_covering(core::simple_oneshot_factory(n), n);
+  auto result = build_oneshot_covering(factory_of("simple-oneshot", n), n);
   EXPECT_TRUE(result.all_checks_ok) << result.summary();
   if (result.stop_reason == "l-j<=2") {
     const int floor_bound =
@@ -105,7 +109,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, OneShotBuilderSweep,
 
 TEST(OneShotBuilder, StepRecordsAreConsistent) {
   const int n = 32;
-  auto result = build_oneshot_covering(core::sqrt_oneshot_factory(n), n);
+  auto result = build_oneshot_covering(factory_of("sqrt-oneshot", n), n);
   ASSERT_FALSE(result.steps.empty());
   int prev_j = 0;
   std::size_t prev_len = 0;
@@ -125,7 +129,7 @@ TEST(OneShotBuilder, StepRecordsAreConsistent) {
   EXPECT_EQ(result.steps.back().j_after, result.j_last);
   // The final schedule replays to a configuration whose covered register
   // count matches the report.
-  auto sys = runtime::replay(core::sqrt_oneshot_factory(n), result.schedule);
+  auto sys = runtime::replay(factory_of("sqrt-oneshot", n), result.schedule);
   EXPECT_EQ(static_cast<int>(std::count_if(
                 result.final_ordered_sig.begin(),
                 result.final_ordered_sig.end(), [](int s) { return s > 0; })),
@@ -138,7 +142,7 @@ TEST(LongLivedBuilder, MaxScanReachesThreeKConfiguration) {
     LongLivedBuilderOptions opts;
     opts.recurrence_rounds = 8;
     auto result = build_longlived_covering(
-        core::maxscan_factory(n, opts.recurrence_rounds + 4), n, target, opts);
+        factory_of("maxscan", n, opts.recurrence_rounds + 4), n, target, opts);
     EXPECT_EQ(result.k_reached, target) << result.summary();
     EXPECT_TRUE(result.is_3k) << result.summary();
     // Theorem 1.1's conclusion: at least floor(n/6) registers covered.
@@ -154,7 +158,7 @@ TEST(LongLivedBuilder, SignatureRecurrenceFound) {
   const int n = 10;
   LongLivedBuilderOptions opts;
   opts.recurrence_rounds = 16;
-  auto result = build_longlived_covering(core::maxscan_factory(n, 64), n,
+  auto result = build_longlived_covering(factory_of("maxscan", n, 64), n,
                                          n / 2, opts);
   EXPECT_EQ(result.stop_reason, "signature-repeat") << result.summary();
   ASSERT_GE(result.repeat_second, 0);

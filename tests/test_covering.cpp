@@ -5,8 +5,7 @@
 #include "adversary/block_write.hpp"
 #include "adversary/covering.hpp"
 #include "adversary/lemma21.hpp"
-#include "core/simple_oneshot.hpp"
-#include "core/sqrt_oneshot.hpp"
+#include "api/registry.hpp"
 #include "runtime/scheduler.hpp"
 
 namespace {
@@ -17,7 +16,7 @@ using namespace stamped::adversary;
 // Drives the first `k` processes of a sqrt-oneshot system to their first
 // write (they all pile up poised on register 0).
 std::unique_ptr<runtime::ISystem> sqrt_with_poised(int n, int k) {
-  auto sys = core::sqrt_oneshot_factory(n)();
+  auto sys = api::family("sqrt-oneshot").factory({.n = n})();
   std::unordered_set<int> nothing;
   for (int p = 0; p < k; ++p) {
     EXPECT_TRUE(runtime::run_solo_until_poised_outside(*sys, p, nothing,
@@ -106,7 +105,7 @@ TEST(Lemma21, HoldsForSqrtAlgorithmFromInitialCovering) {
   // C: processes 0..8 poised on register 0 (after a prefix schedule); B0, B1,
   // B2 three disjoint covering triples; q0 = 9, q1 = 10 idle.
   const int n = 12;
-  auto factory = core::sqrt_oneshot_factory(n);
+  auto factory = api::family("sqrt-oneshot").factory({.n = n});
   auto sys = factory();
   std::unordered_set<int> nothing;
   for (int p = 0; p < 9; ++p) {
@@ -128,7 +127,7 @@ TEST(Lemma21, HoldsForSimpleAlgorithm) {
   // from those writers (each covers all of R? No — each covers only its own
   // register, so B sets must include one writer per register).
   const int n = 16;
-  auto factory = core::simple_oneshot_factory(n);
+  auto factory = api::family("simple-oneshot").factory({.n = n});
   auto sys = factory();
   std::unordered_set<int> nothing;
   for (int p = 0; p < 6; ++p) {

@@ -10,8 +10,9 @@
 #include <string>
 #include <vector>
 
-#include "core/simple_oneshot.hpp"
-#include "core/sqrt_oneshot.hpp"
+#include "api/engine_family.hpp"
+#include "api/engines.hpp"
+#include "native/recorder.hpp"
 #include "verify/explorer.hpp"
 #include "verify/hb_checker.hpp"
 
@@ -19,40 +20,34 @@ namespace {
 
 using namespace stamped;
 
-// Builds an exploration instance for the simple algorithm: fresh system +
-// a check of the timestamp property on its own call log.
-verify::ExplorationInstance simple_instance(int n) {
-  auto log = std::make_shared<runtime::CallLog<std::int64_t>>();
+// Builds an exploration instance of engine E with n one-call processes: a
+// fresh system plus a check of the timestamp property on its own history.
+// The check owns the instance, whose engine and recorder the programs use.
+template <class E>
+verify::ExplorationInstance engine_instance(int n) {
+  auto owner = std::make_shared<api::EngineInstance<E>>(
+      api::ScenarioSpec{.n = n}, api::Backend::kSim);
   verify::ExplorationInstance inst;
-  inst.sys = core::make_simple_oneshot_system(n, log.get());
-  inst.check = [log, n]() -> std::optional<std::string> {
-    if (static_cast<int>(log->size()) != n) {
+  inst.sys = owner->take_system();
+  inst.check = [owner, n]() -> std::optional<std::string> {
+    const auto records = owner->records();
+    if (static_cast<int>(records.size()) != n) {
       return "expected " + std::to_string(n) + " calls, saw " +
-             std::to_string(log->size());
+             std::to_string(records.size());
     }
-    auto report = verify::check_timestamp_property(log->snapshot(),
-                                                   core::Compare{});
+    auto report = verify::check_timestamp_property(records, core::Compare{});
     if (!report.ok()) return report.to_string();
     return std::nullopt;
   };
   return inst;
 }
 
+verify::ExplorationInstance simple_instance(int n) {
+  return engine_instance<api::SimpleEngine>(n);
+}
+
 verify::ExplorationInstance sqrt_instance(int n) {
-  auto log = std::make_shared<runtime::CallLog<core::PairTimestamp>>();
-  verify::ExplorationInstance inst;
-  inst.sys = core::make_sqrt_oneshot_system(n, log.get());
-  inst.check = [log, n]() -> std::optional<std::string> {
-    if (static_cast<int>(log->size()) != n) {
-      return "expected " + std::to_string(n) + " calls, saw " +
-             std::to_string(log->size());
-    }
-    auto report = verify::check_timestamp_property(log->snapshot(),
-                                                   core::Compare{});
-    if (!report.ok()) return report.to_string();
-    return std::nullopt;
-  };
-  return inst;
+  return engine_instance<api::SqrtEngine>(n);
 }
 
 TEST(Explorer, CountsInterleavingsOfIndependentPrograms) {
@@ -103,8 +98,7 @@ using BrokenSys = runtime::System<std::int64_t>;
 // coroutine (parameters live in the frame; capturing coroutine lambdas are
 // unsafe — see the note in core/sqrt_oneshot.hpp).
 runtime::ProcessTask broken_constant_program(
-    BrokenSys::Ctx& ctx, int pid,
-    std::shared_ptr<runtime::CallLog<std::int64_t>> log) {
+    BrokenSys::Ctx& ctx, int pid, native::CallArena<std::int64_t>* log) {
   const auto inv = ctx.stamp();
   (void)co_await ctx.read(0);
   log->record({pid, 0, 0, inv, ctx.stamp()});  // constant timestamp
@@ -116,18 +110,18 @@ TEST(Explorer, DetectsInjectedViolation) {
   // other and flag the constant timestamps.
   using Sys = BrokenSys;
   auto factory = []() {
-    auto log = std::make_shared<runtime::CallLog<std::int64_t>>();
+    auto log = std::make_shared<native::HistoryRecorder<std::int64_t>>(2);
     std::vector<Sys::Program> programs;
     for (int p = 0; p < 2; ++p) {
       programs.push_back([p, log](Sys::Ctx& ctx) {
-        return broken_constant_program(ctx, p, log);
+        return broken_constant_program(ctx, p, &log->arena(p));
       });
     }
     verify::ExplorationInstance inst;
     inst.sys = std::make_unique<Sys>(1, std::int64_t{0}, std::move(programs));
     inst.check = [log]() -> std::optional<std::string> {
-      auto report = verify::check_timestamp_property(log->snapshot(),
-                                                     core::Compare{});
+      auto report =
+          verify::check_timestamp_property(log->merged(), core::Compare{});
       if (!report.ok()) return report.to_string();
       return std::nullopt;
     };

@@ -14,6 +14,8 @@
 #include <tuple>
 #include <unordered_set>
 
+#include "api/engine_family.hpp"
+#include "api/engines.hpp"
 #include "api/harness.hpp"
 #include "api/registry.hpp"
 #include "core/sqrt_oneshot.hpp"
@@ -114,20 +116,20 @@ TEST(FaultInjection, CrashedCoverersDoNotBlockAlgorithm4Scans) {
   // executed. This placement is more surgical than the random adversary, so
   // it stays on the raw runtime API.
   const int n = 12;
-  runtime::CallLog<core::PairTimestamp> log;
-  auto sys = core::make_sqrt_oneshot_system(n, &log);
+  api::EngineInstance<api::SqrtEngine> inst({.n = n}, api::Backend::kSim);
+  auto& sys = inst.system();
   std::unordered_set<int> nothing;
   for (int v : {0, 1, 2}) {
     ASSERT_TRUE(
-        runtime::run_solo_until_poised_outside(*sys, v, nothing, 100000));
+        runtime::run_solo_until_poised_outside(sys, v, nothing, 100000));
     // v is now covering its first write target; never scheduled again.
   }
   for (int p = 3; p < n; ++p) {
-    ASSERT_TRUE(runtime::run_solo_until_calls_complete(*sys, p, 1, 100000));
+    ASSERT_TRUE(runtime::run_solo_until_calls_complete(sys, p, 1, 100000));
   }
-  EXPECT_EQ(log.size(), static_cast<std::size_t>(n - 3));
-  auto report = verify::check_timestamp_property(log.snapshot(),
-                                                 core::Compare{});
+  const auto records = inst.records();
+  EXPECT_EQ(records.size(), static_cast<std::size_t>(n - 3));
+  auto report = verify::check_timestamp_property(records, core::Compare{});
   EXPECT_TRUE(report.ok()) << report.to_string();
 }
 

@@ -8,6 +8,7 @@
 #include "apps/fcfs_lock.hpp"
 #include "atomicmem/atomic_memory.hpp"
 #include "native/native_system.hpp"
+#include "native/recorder.hpp"
 #include "runtime/scheduler.hpp"
 
 namespace {
@@ -106,7 +107,7 @@ TEST(FcfsLock, WorksUnderRealThreads) {
 }
 
 TEST(FcfsLock, TicketsComeFromTheTimestampObject) {
-  runtime::CallLog<std::int64_t> ts_log;
+  native::HistoryRecorder<std::int64_t> ts_log(3);
   apps::BakeryLog log;
   auto sys = apps::make_bakery_system(3, 2, &log, &ts_log);
   util::Rng rng(7);

@@ -1,4 +1,4 @@
-// Unit tests: call logs, the happens-before relation, and the timestamp
+// Unit tests: call records, the happens-before relation, and the timestamp
 // property checker (including that it *detects* violations).
 #include <gtest/gtest.h>
 
@@ -7,6 +7,7 @@
 
 #include "core/timestamp.hpp"
 #include "runtime/history.hpp"
+#include "util/assert.hpp"
 #include "verify/hb_checker.hpp"
 
 namespace {
@@ -27,23 +28,6 @@ TEST(History, HappensBeforeIsResponseBeforeInvocation) {
   EXPECT_FALSE(b.happens_before(a));
   EXPECT_FALSE(a.happens_before(c));
   EXPECT_FALSE(c.happens_before(a));
-}
-
-TEST(History, CallLogRecordsAndSnapshots) {
-  runtime::CallLog<std::int64_t> log;
-  log.record(rec(0, 0, 7, 1, 2));
-  log.record(rec(1, 0, 8, 3, 4));
-  EXPECT_EQ(log.size(), 2u);
-  auto snap = log.snapshot();
-  ASSERT_EQ(snap.size(), 2u);
-  EXPECT_EQ(snap[1].ts, 8);
-  log.clear();
-  EXPECT_EQ(log.size(), 0u);
-}
-
-TEST(History, CallLogRejectsEmptyInterval) {
-  runtime::CallLog<std::int64_t> log;
-  EXPECT_THROW(log.record(rec(0, 0, 1, 5, 5)), stamped::invariant_error);
 }
 
 TEST(HbChecker, AcceptsCorrectHistory) {

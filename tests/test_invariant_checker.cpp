@@ -2,6 +2,8 @@
 // DETECT violations, not just pass on correct runs.
 #include <gtest/gtest.h>
 
+#include "api/engine_family.hpp"
+#include "api/engines.hpp"
 #include "core/sqrt_oneshot.hpp"
 #include "runtime/scheduler.hpp"
 #include "verify/invariants.hpp"
@@ -11,6 +13,7 @@ namespace {
 using namespace stamped;
 using core::TsRecord;
 using Sys = runtime::System<TsRecord>;
+using Sqrt = api::EngineInstance<api::SqrtEngine>;
 
 // Free-function coroutines for deliberately ill-behaved programs (parameters
 // live in the coroutine frame).
@@ -71,20 +74,20 @@ TEST(InvariantChecker, DetectsRepeatedLastId) {
 }
 
 TEST(InvariantChecker, CleanRunPasses) {
-  auto sys = core::make_sqrt_oneshot_system(10, nullptr);
+  Sqrt inst({.n = 10}, api::Backend::kSim);
+  auto& sys = inst.sim();
   verify::SqrtInvariantChecker checker;
-  checker.attach(*sys);
+  checker.attach(sys);
   util::Rng rng(4);
-  runtime::run_random(*sys, rng, 1 << 22);
-  EXPECT_TRUE(sys->all_finished());
+  runtime::run_random(sys, rng, 1 << 22);
+  EXPECT_TRUE(sys.all_finished());
   EXPECT_GT(checker.steps_checked(), 0u);
 }
 
 TEST(PhaseAnalysis, EmptyExecution) {
-  core::SqrtStats stats;
-  auto sys = core::make_sqrt_oneshot_system(4, nullptr, &stats);
+  Sqrt inst({.n = 4}, api::Backend::kSim);
   // No steps at all: no phases, no writes, bounds trivially hold.
-  auto analysis = verify::analyze_phases(*sys, stats, 4);
+  auto analysis = verify::analyze_phases(inst.sim(), inst.engine().stats(), 4);
   EXPECT_EQ(analysis.phases_started, 0);
   EXPECT_EQ(analysis.invalidation_writes, 0);
   EXPECT_TRUE(analysis.bounds_ok());
@@ -97,12 +100,12 @@ TEST(PhaseAnalysis, SequentialRunCountsExactInvalidations) {
   // and 4 ongoing: 1+2+3 invalidations in completed phases, plus the ongoing
   // phase's first writes.
   const int n = 10;
-  core::SqrtStats stats;
-  auto sys = core::make_sqrt_oneshot_system(n, nullptr, &stats);
+  Sqrt inst({.n = n}, api::Backend::kSim);
+  auto& sys = inst.sim();
   for (int p = 0; p < n; ++p) {
-    ASSERT_TRUE(runtime::run_solo_until_calls_complete(*sys, p, 1, 100000));
+    ASSERT_TRUE(runtime::run_solo_until_calls_complete(sys, p, 1, 100000));
   }
-  auto analysis = verify::analyze_phases(*sys, stats, n);
+  auto analysis = verify::analyze_phases(sys, inst.engine().stats(), n);
   EXPECT_TRUE(analysis.bounds_ok()) << analysis.to_string();
   EXPECT_EQ(analysis.phases_started, 4);
   // Sequential: every call writes exactly once, and every write is the first

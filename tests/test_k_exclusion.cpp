@@ -4,8 +4,8 @@
 #include <tuple>
 
 #include "adversary/longlived_builder.hpp"
+#include "api/registry.hpp"
 #include "apps/k_exclusion.hpp"
-#include "core/sqrt_oneshot.hpp"
 #include "runtime/scheduler.hpp"
 
 namespace {
@@ -82,9 +82,8 @@ TEST(LongLivedBuilder, WorksAgainstBoundedAlgorithm4) {
   // builder's <=3-per-register constraint is actually exercised.
   const int n = 12;
   const int calls = 6;
-  auto factory = [n, calls]() -> std::unique_ptr<runtime::ISystem> {
-    return core::make_sqrt_bounded_system(n, calls, nullptr, nullptr);
-  };
+  auto factory =
+      api::family("sqrt-oneshot").factory({.n = n, .calls_per_process = calls});
   adversary::LongLivedBuilderOptions opts;
   opts.recurrence_rounds = 12;
   auto result = adversary::build_longlived_covering(factory, n, n / 2, opts);

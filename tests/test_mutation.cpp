@@ -28,7 +28,8 @@
 //       a completed before b began. VIOLATION (mutant only).
 #include <gtest/gtest.h>
 
-#include "core/growing_oneshot.hpp"
+#include "api/engine_family.hpp"
+#include "api/engines.hpp"
 #include "core/sqrt_oneshot.hpp"
 #include "runtime/scheduler.hpp"
 #include "verify/hb_checker.hpp"
@@ -54,36 +55,38 @@ bool pause_before_write_to(runtime::ISystem& sys, int pid, int reg) {
   return runtime::run_solo_until_poised_outside(sys, pid, covered, 100000);
 }
 
-ScenarioResult run_scenario(SqrtVariant variant) {
+// Runs the cast on Algorithm 4 `Variant` over the growing engine's pool,
+// which has room for every phase even the mutant can start.
+template <SqrtVariant Variant>
+ScenarioResult run_scenario() {
   ScenarioResult out;
-  const int n = 8;
-  runtime::CallLog<PairTimestamp> log;
-  auto sys = core::make_sqrt_oneshot_system(
-      n, &log, nullptr, core::growing_pool_registers(n), variant);
+  api::EngineInstance<api::GrowingEngine<Variant>> inst({.n = 8},
+                                                        api::Backend::kSim);
+  runtime::ISystem& sys = inst.system();
   auto complete = [&](int pid) {
     // A preceding step() may have resumed the process through to completion
     // (one-shot programs finish right after their last write).
-    if (sys->finished(pid)) return;
+    if (sys.finished(pid)) return;
     out.orchestration_ok &=
-        runtime::run_solo_until_calls_complete(*sys, pid, 1, 100000);
+        runtime::run_solo_until_calls_complete(sys, pid, 1, 100000);
   };
 
   complete(0);                                     // phase 1: R1 written
   complete(1);                                     // phase 2: R2 written
-  out.orchestration_ok &= pause_before_write_to(*sys, 2, 0);  // C stalls at R1
+  out.orchestration_ok &= pause_before_write_to(sys, 2, 0);  // C stalls at R1
   complete(3);                                     // D invalidates R1, (2,1)
-  out.orchestration_ok &= pause_before_write_to(*sys, 4, 2);  // p scanned, at R3
-  sys->step(2);                                    // C's stale write lands
+  out.orchestration_ok &= pause_before_write_to(sys, 4, 2);  // p scanned, at R3
+  sys.step(2);                                     // C's stale write lands
   complete(2);                                     // C returns (2,1)
-  out.orchestration_ok &= pause_before_write_to(*sys, 5, 2);  // q scanned, at R3
-  sys->step(4);                                    // p writes R3
+  out.orchestration_ok &= pause_before_write_to(sys, 5, 2);  // q scanned, at R3
+  sys.step(4);                                     // p writes R3
   complete(4);                                     // p returns (3,0)
   complete(6);                                     // a — the key witness
-  sys->step(5);                                    // q's late R3 write
+  sys.step(5);                                     // q's late R3 write
   complete(5);                                     // q returns (3,0)
   complete(7);                                     // b — the second witness
-  runtime::check_no_failures(*sys);
-  out.records = log.snapshot();
+  runtime::check_no_failures(sys);
+  out.records = inst.records();
   return out;
 }
 
@@ -96,7 +99,7 @@ PairTimestamp ts_of(const ScenarioResult& r, int pid) {
 }
 
 TEST(Mutation, NeverOverwriteMutantViolatesExactlyAsThePaperPredicts) {
-  auto result = run_scenario(SqrtVariant::kNeverOverwrite);
+  auto result = run_scenario<SqrtVariant::kNeverOverwrite>();
   ASSERT_TRUE(result.orchestration_ok);
   ASSERT_EQ(result.records.size(), 8u);
 
@@ -116,7 +119,7 @@ TEST(Mutation, NeverOverwriteMutantViolatesExactlyAsThePaperPredicts) {
 }
 
 TEST(Mutation, PaperAlgorithmSurvivesTheSameInterleaving) {
-  auto result = run_scenario(SqrtVariant::kPaper);
+  auto result = run_scenario<SqrtVariant::kPaper>();
   ASSERT_TRUE(result.orchestration_ok);
   ASSERT_EQ(result.records.size(), 8u);
 
@@ -134,7 +137,7 @@ TEST(Mutation, PaperAlgorithmSurvivesTheSameInterleaving) {
 }
 
 TEST(Mutation, AlwaysOverwriteSurvivesTheSameInterleaving) {
-  auto result = run_scenario(SqrtVariant::kAlwaysOverwrite);
+  auto result = run_scenario<SqrtVariant::kAlwaysOverwrite>();
   ASSERT_TRUE(result.orchestration_ok);
   auto report =
       verify::check_timestamp_property(result.records, core::Compare{});

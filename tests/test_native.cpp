@@ -12,10 +12,10 @@
 #include <thread>
 #include <vector>
 
+#include "api/engine_family.hpp"
+#include "api/engines.hpp"
 #include "api/harness.hpp"
 #include "api/registry.hpp"
-#include "core/maxscan_longlived.hpp"
-#include "core/sqrt_oneshot.hpp"
 #include "core/timestamp.hpp"
 #include "native/native_system.hpp"
 #include "native/recorder.hpp"
@@ -28,6 +28,18 @@ using namespace stamped;
 using native::CallArena;
 using native::HistoryRecorder;
 using native::NativeSystem;
+
+/// Process p's program on a hand-built native system: `calls` getTS calls
+/// of the n-process max-scan engine, recorded into `arena` unless it is
+/// null.
+runtime::ProcessTask maxscan_calls(atomicmem::DirectCtx<std::int64_t>& ctx,
+                                   int p, int n, int calls,
+                                   CallArena<std::int64_t>* arena) {
+  static api::MaxscanEngine engine{api::ScenarioSpec{}};  // stateless
+  return api::engine_program(
+      ctx, &engine, api::engine_geometry<api::MaxscanEngine>({.n = n}), p,
+      calls, arena);
+}
 
 TEST(Recorder, ArenaCrossesBlockBoundaries) {
   CallArena<std::int64_t> arena;
@@ -70,6 +82,14 @@ TEST(Recorder, BlocksGrowFromOneRecord) {
                                sizeof(Record));
 }
 
+TEST(Recorder, ArenaRejectsEmptyInterval) {
+  // A call spans at least one event: its response stamp follows its
+  // invocation stamp.
+  CallArena<std::int64_t> arena;
+  EXPECT_THROW(arena.record({0, 0, 1, 5, 5}), stamped::invariant_error);
+  EXPECT_EQ(arena.size(), 0u);
+}
+
 TEST(Recorder, MergeSortsByCompletionStamp) {
   // Two arenas with interleaved completion stamps; merged() must produce the
   // stamp-sorted total order regardless of arena boundaries.
@@ -105,7 +125,7 @@ TEST(NativeSystem, FewerThreadsThanProcesses) {
     auto* arena = &rec.arena(p);
     programs.push_back(
         [p, n, calls, arena](atomicmem::DirectCtx<std::int64_t>& ctx) {
-          return core::maxscan_program(ctx, p, n, calls, arena);
+          return maxscan_calls(ctx, p, n, calls, arena);
         });
   }
   NativeSystem<std::int64_t> sys(n, 0, std::move(programs));
@@ -145,42 +165,22 @@ TEST(NativeSystem, StampsAreExactlyTheCallEventsOnMaxScan) {
   // stamps 1..2C. A per-op tick would leave gaps of n + 1 per call.
   const int n = 4;
   const int calls = 500;
-  HistoryRecorder<std::int64_t> rec(n);
-  std::vector<NativeSystem<std::int64_t>::Program> programs;
-  for (int p = 0; p < n; ++p) {
-    auto* arena = &rec.arena(p);
-    programs.push_back(
-        [p, n, calls, arena](atomicmem::DirectCtx<std::int64_t>& ctx) {
-          return core::maxscan_program(ctx, p, n, calls, arena);
-        });
-  }
-  NativeSystem<std::int64_t> sys(n, 0, std::move(programs));
-  const auto stats = sys.run(n);
+  api::EngineInstance<api::MaxscanEngine> inst(
+      {.n = n, .calls_per_process = calls}, api::Backend::kNative);
+  const auto stats = inst.run_native(n);
   const std::size_t total = static_cast<std::size_t>(n) * calls;
   EXPECT_EQ(stats.calls, total);
-  EXPECT_EQ(sorted_stamps(rec.merged()), call_events(total));
+  EXPECT_EQ(sorted_stamps(inst.records()), call_events(total));
 }
 
 TEST(NativeSystem, StampsAreExactlyTheCallEventsOnSqrtOneShot) {
   // Algorithm 4 on node cells, with scans: the stamps are still exactly the
   // 2 per call, however many register ops each call made.
   const int n = 64;
-  const int m = core::sqrt_oneshot_registers(n);
-  HistoryRecorder<core::PairTimestamp> rec(n);
-  std::vector<NativeSystem<core::TsRecord>::Program> programs;
-  for (int p = 0; p < n; ++p) {
-    auto* arena = &rec.arena(p);
-    programs.push_back(
-        [p, m, arena](atomicmem::DirectCtx<core::TsRecord>& ctx) {
-          return core::sqrt_getts_program(ctx, core::TsId{p, 0}, m, arena,
-                                          nullptr);
-        });
-  }
-  NativeSystem<core::TsRecord> sys(m, core::TsRecord::bottom(),
-                                   std::move(programs));
-  const auto stats = sys.run(4);
+  api::EngineInstance<api::SqrtEngine> inst({.n = n}, api::Backend::kNative);
+  const auto stats = inst.run_native(4);
   EXPECT_EQ(stats.calls, static_cast<std::uint64_t>(n));
-  EXPECT_EQ(sorted_stamps(rec.merged()),
+  EXPECT_EQ(sorted_stamps(inst.records()),
             call_events(static_cast<std::size_t>(n)));
 }
 
@@ -189,8 +189,7 @@ TEST(NativeSystem, RateMathStaysFiniteOnDegenerateRuns) {
   // elapsed_seconds is clamped so ops/sec never goes inf or garbage.
   std::vector<NativeSystem<std::int64_t>::Program> programs;
   programs.push_back([](atomicmem::DirectCtx<std::int64_t>& ctx) {
-    return core::maxscan_program(
-        ctx, 0, 1, 1, static_cast<runtime::CallLog<std::int64_t>*>(nullptr));
+    return maxscan_calls(ctx, 0, 1, 1, nullptr);
   });
   NativeSystem<std::int64_t> sys(1, 0, std::move(programs));
   const auto stats = sys.run(1);
@@ -219,9 +218,7 @@ TEST(NativeSystem, CallingThreadIsWorkerZero) {
     programs.push_back(
         [p, n, calls, &ran_on](atomicmem::DirectCtx<std::int64_t>& ctx) {
           ran_on[static_cast<std::size_t>(p)] = std::this_thread::get_id();
-          return core::maxscan_program(
-              ctx, p, n, calls,
-              static_cast<runtime::CallLog<std::int64_t>*>(nullptr));
+          return maxscan_calls(ctx, p, n, calls, nullptr);
         });
   }
   NativeSystem<std::int64_t> sys(n, 0, std::move(programs));
@@ -247,7 +244,7 @@ TEST(NativeSystem, ManyShortRunsAccountForEveryCall) {
       auto* arena = &rec.arena(p);
       programs.push_back(
           [p, n, arena](atomicmem::DirectCtx<std::int64_t>& ctx) {
-            return core::maxscan_program(ctx, p, n, 1, arena);
+            return maxscan_calls(ctx, p, n, 1, arena);
           });
     }
     NativeSystem<std::int64_t> sys(n, 0, std::move(programs));
@@ -279,7 +276,7 @@ TEST(NativeSystem, ProgramExceptionPropagatesAfterEveryProgramFinishes) {
     programs.push_back(
         [p, n, calls, arena](atomicmem::DirectCtx<std::int64_t>& ctx) {
           return p == 2 ? failing_program(ctx)
-                        : core::maxscan_program(ctx, p, n, calls, arena);
+                        : maxscan_calls(ctx, p, n, calls, arena);
         });
   }
   NativeSystem<std::int64_t> sys(n, 0, std::move(programs));
@@ -290,8 +287,7 @@ TEST(NativeSystem, ProgramExceptionPropagatesAfterEveryProgramFinishes) {
 TEST(NativeSystem, RunIsSingleUse) {
   std::vector<NativeSystem<std::int64_t>::Program> programs;
   programs.push_back([](atomicmem::DirectCtx<std::int64_t>& ctx) {
-    return core::maxscan_program(
-        ctx, 0, 1, 1, static_cast<runtime::CallLog<std::int64_t>*>(nullptr));
+    return maxscan_calls(ctx, 0, 1, 1, nullptr);
   });
   NativeSystem<std::int64_t> sys(1, 0, std::move(programs));
   (void)sys.run(1);

@@ -10,9 +10,9 @@
 
 #include <memory>
 
+#include "api/engine_family.hpp"
+#include "api/engines.hpp"
 #include "atomicmem/atomic_memory.hpp"
-#include "core/bounded_longlived.hpp"
-#include "core/maxscan_longlived.hpp"
 #include "core/timestamp.hpp"
 #include "runtime/scheduler.hpp"
 #include "snapshot/double_collect.hpp"
@@ -23,18 +23,21 @@ namespace {
 
 using namespace stamped;
 using IntSys = runtime::System<std::int64_t>;
+using Maxscan = api::EngineInstance<api::MaxscanEngine>;
 using runtime::RecordingMode;
 
 TEST(RecordingModes, CountsOnlyMatchesFullOnEveryCounter) {
   // The same schedule in both modes must produce identical register files,
   // step/call counters, write counts and versions — only the per-step
   // bookkeeping (trace, views, executed schedule) may differ.
-  auto full = core::make_maxscan_system(4, 3, nullptr);
+  Maxscan full_inst({.n = 4, .calls_per_process = 3}, api::Backend::kSim);
+  IntSys* full = &full_inst.sim();
   util::Rng rng(1234);
   runtime::run_random(*full, rng, 1u << 20);
   ASSERT_TRUE(full->all_finished());
 
-  auto counts = core::make_maxscan_system(4, 3, nullptr);
+  Maxscan counts_inst({.n = 4, .calls_per_process = 3}, api::Backend::kSim);
+  IntSys* counts = &counts_inst.sim();
   counts->set_recording_mode(RecordingMode::kCountsOnly);
   EXPECT_EQ(counts->recording_mode(), RecordingMode::kCountsOnly);
   runtime::run_script(*counts, full->executed_schedule());
@@ -78,26 +81,29 @@ TEST(RecordingModes, ConstructorParameterSelectsMode) {
 }
 
 TEST(RecordingModes, ModeSwitchRejectedAfterFirstStep) {
-  auto sys = core::make_maxscan_system(2, 1, nullptr);
-  sys->step(0);
-  EXPECT_THROW(sys->set_recording_mode(RecordingMode::kCountsOnly),
+  Maxscan inst({.n = 2}, api::Backend::kSim);
+  auto& sys = inst.sim();
+  sys.step(0);
+  EXPECT_THROW(sys.set_recording_mode(RecordingMode::kCountsOnly),
                invariant_error);
 }
 
 TEST(RecordingModes, ObserverAndCountsOnlyAreMutuallyExclusive) {
   {
-    auto sys = core::make_maxscan_system(2, 1, nullptr);
-    sys->set_observer([](const runtime::System<std::int64_t>&,
-                         const runtime::TraceEntry<std::int64_t>&) {});
-    EXPECT_THROW(sys->set_recording_mode(RecordingMode::kCountsOnly),
+    Maxscan inst({.n = 2}, api::Backend::kSim);
+    auto& sys = inst.sim();
+    sys.set_observer([](const runtime::System<std::int64_t>&,
+                        const runtime::TraceEntry<std::int64_t>&) {});
+    EXPECT_THROW(sys.set_recording_mode(RecordingMode::kCountsOnly),
                  invariant_error);
   }
   {
-    auto sys = core::make_maxscan_system(2, 1, nullptr);
-    sys->set_recording_mode(RecordingMode::kCountsOnly);
+    Maxscan inst({.n = 2}, api::Backend::kSim);
+    auto& sys = inst.sim();
+    sys.set_recording_mode(RecordingMode::kCountsOnly);
     EXPECT_THROW(
-        sys->set_observer([](const runtime::System<std::int64_t>&,
-                             const runtime::TraceEntry<std::int64_t>&) {}),
+        sys.set_observer([](const runtime::System<std::int64_t>&,
+                            const runtime::TraceEntry<std::int64_t>&) {}),
         invariant_error);
   }
 }
@@ -240,10 +246,10 @@ TEST(VersionedScan, BoundedFamilyScanStepCostUnchanged) {
   // The bounded family opted into the version-clock scan; a solo getTS must
   // still cost one double collect (2n reads) plus one write.
   const int n = 3;
-  runtime::CallLog<core::BoundedTimestamp> log;
-  auto sys = core::make_bounded_system(n, 1, 0, &log);
-  ASSERT_TRUE(runtime::run_solo_until_calls_complete(*sys, 0, 1, 1000));
-  EXPECT_EQ(sys->steps_taken(), static_cast<std::uint64_t>(2 * n + 1));
+  api::EngineInstance<api::BoundedEngine> inst({.n = n}, api::Backend::kSim);
+  auto& sys = inst.system();
+  ASSERT_TRUE(runtime::run_solo_until_calls_complete(sys, 0, 1, 1000));
+  EXPECT_EQ(sys.steps_taken(), static_cast<std::uint64_t>(2 * n + 1));
 }
 
 }  // namespace

@@ -85,8 +85,8 @@ TEST(ScenarioSweep, WorkerCountDefaultsAndClamps) {
 }
 
 TEST(ScenarioSweep, CountsOnlyRecordingKeepsCheckersWorking) {
-  // kCountsOnly skips the System's per-step bookkeeping but the CallLog is
-  // program-level, so the history checkers still see every call.
+  // kCountsOnly skips the System's per-step bookkeeping but the history
+  // recorder is program-level, so the history checkers still see every call.
   const api::Harness harness;
   std::vector<api::ScenarioSpec> grid;
   for (std::uint64_t seed : {5u, 6u, 7u}) {
