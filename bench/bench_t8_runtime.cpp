@@ -54,11 +54,11 @@ constexpr int kT5Calls = 2000;
 /// The T5 workload's max-scan instance; its typed system keeps the trace.
 std::unique_ptr<api::EngineInstance<api::MaxscanEngine>> t5_instance(
     runtime::RecordingMode mode) {
-  auto inst = std::make_unique<api::EngineInstance<api::MaxscanEngine>>(
-      api::ScenarioSpec{.n = kT5Procs, .calls_per_process = kT5Calls},
+  return std::make_unique<api::EngineInstance<api::MaxscanEngine>>(
+      api::ScenarioSpec{.n = kT5Procs,
+                        .calls_per_process = kT5Calls,
+                        .recording = mode},
       api::Backend::kSim);
-  inst->sim().set_recording_mode(mode);
-  return inst;
 }
 
 struct ModeRun {

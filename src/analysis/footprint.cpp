@@ -52,6 +52,11 @@ ObservedFootprint observe_footprint(const api::TimestampFamily& family,
   STAMPED_ASSERT_MSG(family.supports(spec),
                      "family '" << family.name
                                 << "' does not support this scenario");
+  // The access map is read off the step infos, which kCountsOnly discards;
+  // reject the conflict loudly rather than observe nothing.
+  STAMPED_ASSERT_MSG(spec.recording == runtime::RecordingMode::kFull,
+                     "footprint observation requires "
+                     "ScenarioSpec::recording == kFull");
   const runtime::SystemFactory make = family.factory(spec);
 
   ObservedFootprint out;

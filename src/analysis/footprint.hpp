@@ -69,8 +69,8 @@ struct LintReport {
 };
 
 /// Runs the schedule battery against family.factory(spec) and merges the
-/// observed access maps. Requires RecordingMode::kFull step infos (the
-/// factory default).
+/// observed access maps. Reads step infos, so it rejects a spec whose
+/// recording is not kFull.
 [[nodiscard]] ObservedFootprint observe_footprint(
     const api::TimestampFamily& family, const api::ScenarioSpec& spec,
     const ObserveOptions& opts = {});

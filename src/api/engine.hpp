@@ -82,10 +82,12 @@ struct ScenarioSystem {
 
 namespace detail {
 
-template <class Sys, class MakeTask>
+/// `extra` follows the programs into Sys's constructor (the simulator's
+/// recording mode).
+template <class Sys, class MakeTask, class... Extra>
 [[nodiscard]] std::unique_ptr<Sys> make_system(
     int processes, int registers, const typename Sys::Ctx::Value& initial,
-    const MakeTask& make_task) {
+    const MakeTask& make_task, const Extra&... extra) {
   std::vector<typename Sys::Program> programs;
   programs.reserve(static_cast<std::size_t>(processes));
   for (int p = 0; p < processes; ++p) {
@@ -93,25 +95,28 @@ template <class Sys, class MakeTask>
       return make_task(ctx, p);
     });
   }
-  return std::make_unique<Sys>(registers, initial, std::move(programs));
+  return std::make_unique<Sys>(registers, initial, std::move(programs),
+                               extra...);
 }
 
 }  // namespace detail
 
 /// Builds `processes` programs on `backend`, process p running
-/// make_task(ctx, p) with that backend's ctx. Every program holds a copy of
-/// make_task, and the system keeps its programs (restarts re-run them).
+/// make_task(ctx, p) with that backend's ctx. A simulated system records in
+/// `recording` (a native one keeps no per-step record). Every program holds
+/// a copy of make_task, and the system keeps its programs (restarts re-run
+/// them).
 template <class V, class MakeTask>
 [[nodiscard]] ScenarioSystem<V> make_scenario_system(
-    Backend backend, int processes, int registers, const V& initial,
-    const MakeTask& make_task) {
+    Backend backend, runtime::RecordingMode recording, int processes,
+    int registers, const V& initial, const MakeTask& make_task) {
   ScenarioSystem<V> sys;
   if (backend == Backend::kNative) {
     sys.native = detail::make_system<native::NativeSystem<V>>(
         processes, registers, initial, make_task);
   } else {
-    sys.sim = detail::make_system<runtime::System<V>>(processes, registers,
-                                                       initial, make_task);
+    sys.sim = detail::make_system<runtime::System<V>>(
+        processes, registers, initial, make_task, recording);
   }
   return sys;
 }

@@ -56,7 +56,7 @@ class EngineInstance final : public FamilyInstance {
       : engine_(spec), recorder_(spec.n) {
     const Geometry g = engine_geometry<E>(spec);
     auto sys = make_scenario_system(
-        backend, spec.n, g.regs, E::initial_value(),
+        backend, spec.recording, spec.n, g.regs, E::initial_value(),
         [e = &engine_, rec = &recorder_, g,
          calls = spec.calls_per_process](auto& ctx, int p) {
           return engine_program(ctx, e, g, p, calls, &rec->arena(p));
@@ -137,7 +137,8 @@ template <class E>
     return [spec]() -> std::unique_ptr<runtime::ISystem> {
       const Geometry g = engine_geometry<E>(spec);
       return make_scenario_system(
-                 Backend::kSim, spec.n, g.regs, E::initial_value(),
+                 Backend::kSim, spec.recording, spec.n, g.regs,
+                 E::initial_value(),
                  [e = std::make_shared<E>(spec), g,
                   calls = spec.calls_per_process](auto& ctx, int p) {
                    return engine_program(ctx, e.get(), g, p, calls,

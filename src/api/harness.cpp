@@ -112,15 +112,12 @@ void fill_native_report(const NativeRunStats& st, ScenarioReport& rep) {
   rep.memory_arena_bytes = st.memory_arena_bytes;
 }
 
-/// Drives a simulated system under a driver, crash or jitter source, in the
-/// spec's recording mode and seeded from spec.seed, and fills the report's
-/// run fields. Shared by the plain and the sharded paths.
+/// Drives a simulated system under a driver, crash or jitter source, seeded
+/// from spec.seed, and fills the report's run fields. Shared by the plain and
+/// the sharded paths.
 void drive_sim(runtime::ISystem& sys, const ScenarioSpec& spec,
                const ScheduleSource& source, std::uint64_t max_steps,
                ScenarioReport& rep) {
-  if (spec.recording != runtime::RecordingMode::kFull) {
-    sys.set_recording_mode(spec.recording);
-  }
   util::Rng rng(spec.seed);
   bool crash_survivors = false;
   switch (source.kind) {
@@ -271,8 +268,8 @@ void require_supported(const TimestampFamily& family,
 }
 
 /// What the explorer needs for an exhaustive scenario: the source's options
-/// with the spec's thread override and the family's footprints applied, and
-/// an instance factory whose checks keep the worst registers-written count.
+/// with the family's footprints applied, and an instance factory whose
+/// checks keep the worst registers-written count.
 struct ExploreSetup {
   verify::ExploreOptions opts;
   std::shared_ptr<std::atomic<int>> worst_written;
@@ -291,7 +288,6 @@ ExploreSetup explore_setup(const TimestampFamily& family,
                      "ScenarioSpec::recording == kFull");
   ExploreSetup setup;
   setup.opts = source.explore;
-  if (spec.explore_threads > 0) setup.opts.threads = spec.explore_threads;
   // ExploreOptions::exact_footprints opt-in: lowers the family's declared
   // footprint into the explorer's static write map. A family without a
   // declared footprint keeps the pending-op heuristic (null map).

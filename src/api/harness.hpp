@@ -156,10 +156,9 @@ struct ScenarioReport {
   std::uint64_t sleep_pruned = 0;
   std::uint64_t persistent_deferred = 0;
 
-  /// kExhaustive only: worker threads the exploration actually used —
-  /// ScenarioSpec::explore_threads when set, else the source's
-  /// ExploreOptions::threads, with 0 resolved to hardware concurrency (so
-  /// this reports the real pool size, never 0).
+  /// kExhaustive only: worker threads the exploration actually used — the
+  /// source's ExploreOptions::threads, with 0 resolved to hardware
+  /// concurrency (so this reports the real pool size, never 0).
   int explore_workers = 0;
 
   /// kNativeOS only: real worker threads spawned / wall time / total

@@ -56,18 +56,15 @@ struct ScenarioSpec {
   int calls_per_process = 1;   ///< getTS calls per process (1 for one-shot)
   std::int32_t universe_bound = 0;  ///< bounded family's modulus K (0 = auto)
   std::uint64_t seed = 1;      ///< RNG seed for randomized schedule sources
-  /// Recording mode for the simulated system. kCountsOnly skips per-step
-  /// trace/view/observer bookkeeping in the hot loop — measurement sweeps
-  /// only; history checkers still work (the programs, not the system,
-  /// append each completed call to the instance's history recorder).
-  /// The exhaustive-explorer schedule source requires kFull and rejects
-  /// anything else.
+  /// Recording mode of every simulated system built from this spec
+  /// (make, factory and make_sharded all build in it). kCountsOnly skips
+  /// per-step trace/view/observer bookkeeping in the hot loop — measurement
+  /// sweeps only; history checkers still work (the programs, not the
+  /// system, append each completed call to the instance's history
+  /// recorder). The exhaustive explorer, the coverage fuzzer and footprint
+  /// observation read step infos, so they require kFull and reject anything
+  /// else.
   runtime::RecordingMode recording = runtime::RecordingMode::kFull;
-  /// Worker threads for the exhaustive-explorer schedule source (the
-  /// work-stealing parallel DFS; see verify::ExploreOptions::threads).
-  /// 0 = keep whatever the schedule source's ExploreOptions carry; > 0
-  /// overrides them for this scenario. Ignored by driver-based sources.
-  int explore_threads = 0;
   /// Execution engine. kNative requires the api::native_os() schedule source
   /// (the OS is the scheduler — driver/crash/jitter/fuzzer/exhaustive
   /// sources are simulator concepts) and ignores `recording`: native

@@ -123,21 +123,16 @@ class ISystem {
   [[nodiscard]] virtual std::string register_repr(int reg) const = 0;
   /// True if register `reg` has been written at least once.
   [[nodiscard]] virtual bool register_written(int reg) const = 0;
-  /// Number of writes (incl. swaps) applied to register `reg`.
-  [[nodiscard]] virtual std::uint64_t writes_to(int reg) const = 0;
-  /// The register's current version clock — the first-class name for the
-  /// write count, matching the `{value, version}` pairs that
-  /// `SimCtx::versioned_read` returns. Strictly monotone per register in the
-  /// simulator; equal versions bracket a write-free interval (the guarantee
+  /// Number of writes (incl. swaps) applied to register `reg`: also the
+  /// register's version clock, the version half of the `{value, version}`
+  /// pairs that `SimCtx::versioned_read` returns. Strictly monotone per
+  /// register; equal versions bracket a write-free interval (the guarantee
   /// the version-clock scan relies on — see runtime::Versioned for how the
   /// threaded backend's cells meet it).
-  [[nodiscard]] virtual std::uint64_t register_version(int reg) const {
-    return writes_to(reg);
-  }
-
-  /// True if this system can restart a crashed process (System<V> can; the
-  /// crash/restart adversary requires it before calling restart_process).
-  [[nodiscard]] virtual bool supports_restart() const { return false; }
+  [[nodiscard]] virtual std::uint64_t writes_to(int reg) const = 0;
+  /// Number of distinct registers that have been written so far. This is the
+  /// "registers used" metric reported by the space benchmarks.
+  [[nodiscard]] virtual int registers_written() const = 0;
 
   /// Crash recovery: destroys process pid's local state — its coroutine
   /// frame, including any pending-but-unexecuted operation — and restarts
@@ -145,23 +140,10 @@ class ISystem {
   /// counts), the global trace and the process's step/call counters all
   /// survive: a crash loses exactly the process-local state, matching the
   /// model's notion that registers are the only persistent objects.
-  virtual void restart_process(int pid) {
-    STAMPED_ASSERT_MSG(false, "this ISystem implementation cannot restart "
-                              "process " << pid);
-  }
+  virtual void restart_process(int pid) = 0;
 
-  /// Recording mode (see RecordingMode). The base implementation is the
-  /// always-full default for exotic ISystem implementations; System<V>
-  /// overrides both.
-  [[nodiscard]] virtual RecordingMode recording_mode() const {
-    return RecordingMode::kFull;
-  }
-  /// Switches the recording mode. Only legal before the first step; systems
-  /// that do not support reduced recording reject kCountsOnly.
-  virtual void set_recording_mode(RecordingMode mode) {
-    STAMPED_ASSERT_MSG(mode == RecordingMode::kFull,
-                       "this ISystem implementation records full traces only");
-  }
+  /// Recording mode (see RecordingMode).
+  [[nodiscard]] virtual RecordingMode recording_mode() const = 0;
 
   /// Serialized local knowledge of process pid: the sequence of operations it
   /// has performed with the values it observed. Two executions are
@@ -174,30 +156,14 @@ class ISystem {
   /// bitmasks of the same width, so the whole candidate computation is a few
   /// word operations per node instead of n virtual calls. May start
   /// never-inspected coroutines (see the class comment on const-ness).
-  /// System<V> overrides this with a devirtualized loop.
-  [[nodiscard]] virtual std::uint64_t unfinished_mask() {
-    const int n = num_processes();
-    STAMPED_ASSERT_MSG(n <= 64, "unfinished_mask supports at most 64 "
-                                "processes, got " << n);
-    std::uint64_t mask = 0;
-    for (int p = 0; p < n; ++p) {
-      if (!finished(p)) mask |= std::uint64_t{1} << p;
-    }
-    return mask;
-  }
+  [[nodiscard]] virtual std::uint64_t unfinished_mask() = 0;
 
   /// The register footprint of every process's pending op in one call:
   /// fills `out[p] = pending(p)` for all p ({kNone} for finished processes).
   /// This is the cheap batched query the explorer's persistent-set
-  /// computation runs at every branching node; System<V> overrides it with
-  /// direct slot reads (one virtual call per node instead of n).
-  virtual void pending_all(std::vector<PendingOp>& out) {
-    const int n = num_processes();
-    out.resize(static_cast<std::size_t>(n));
-    for (int p = 0; p < n; ++p) {
-      out[static_cast<std::size_t>(p)] = pending(p);
-    }
-  }
+  /// computation runs at every branching node (one virtual call per node
+  /// instead of n).
+  virtual void pending_all(std::vector<PendingOp>& out) = 0;
 
   // ---- conveniences built on the primitives -------------------------------
 
@@ -207,18 +173,6 @@ class ISystem {
       if (!finished(p)) return false;
     }
     return true;
-  }
-
-  /// Number of distinct registers that have been written so far. This is the
-  /// "registers used" metric reported by the space benchmarks. System<V>
-  /// overrides this with an O(1) incrementally maintained count; the default
-  /// rescans for exotic ISystem implementations.
-  [[nodiscard]] virtual int registers_written() const {
-    int used = 0;
-    for (int r = 0; r < num_registers(); ++r) {
-      if (register_written(r)) ++used;
-    }
-    return used;
   }
 };
 

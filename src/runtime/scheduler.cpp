@@ -92,9 +92,6 @@ CrashStats run_crash_restart(ISystem& sys, util::Rng& rng,
                              const CrashPlan& plan, std::uint64_t max_steps) {
   STAMPED_ASSERT(plan.crashes >= 0);
   STAMPED_ASSERT(plan.min_victim_steps <= plan.max_victim_steps);
-  STAMPED_ASSERT_MSG(!plan.restart || sys.supports_restart(),
-                     "CrashPlan::restart requires a system with "
-                     "supports_restart()");
   const int n = sys.num_processes();
   CrashStats st;
   std::vector<char> down(static_cast<std::size_t>(n), 0);

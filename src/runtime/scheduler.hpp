@@ -78,7 +78,7 @@ struct CrashPlan {
   /// can beat the adversary), so CrashStats::crashes may be smaller.
   int crashes = 1;
   /// Recover each victim after `restart_delay` scheduler ticks with fresh
-  /// local state (ISystem::restart_process — requires supports_restart()).
+  /// local state (ISystem::restart_process).
   /// When false, victims simply never take another step.
   bool restart = false;
   /// A victim dies after [min_victim_steps, max_victim_steps] further steps

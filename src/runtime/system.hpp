@@ -331,8 +331,7 @@ class System final : public ISystem {
   [[nodiscard]] std::uint64_t writes_to(int reg) const override {
     return write_counts_[idx(reg)];
   }
-  /// O(1): maintained incrementally by note_write() (the default rescans all
-  /// m registers — it sat on the space-table loops of the benches).
+  /// O(1): maintained incrementally by note_write().
   [[nodiscard]] int registers_written() const override {
     return distinct_registers_written_;
   }
@@ -376,8 +375,6 @@ class System final : public ISystem {
 
   // ---- crash recovery -----------------------------------------------------
 
-  [[nodiscard]] bool supports_restart() const override { return true; }
-
   /// See ISystem::restart_process. The old coroutine frame is destroyed
   /// (running the destructors of its locals, which tears down any nested
   /// SubTask frames), so a pending-but-unexecuted op vanishes with the local
@@ -412,7 +409,7 @@ class System final : public ISystem {
   /// executed yet), and kCountsOnly refuses systems with an observer
   /// installed — silently skipping invariant checks would be worse than
   /// failing loudly here.
-  void set_recording_mode(RecordingMode mode) override {
+  void set_recording_mode(RecordingMode mode) {
     STAMPED_ASSERT_MSG(steps_ == 0,
                        "recording mode must be set before the first step");
     STAMPED_ASSERT_MSG(mode == RecordingMode::kFull || observer_ == nullptr,

@@ -162,8 +162,8 @@ class TypedShardedInstance final : public ShardedInstance {
   explicit TypedShardedInstance(const api::ScenarioSpec& spec)
       : st_(std::make_unique<ShardedState<Engine>>(spec)),
         sys_(api::make_scenario_system(
-            spec.backend, st_->layout().clients, st_->layout().total_regs,
-            Engine::initial_value(),
+            spec.backend, spec.recording, st_->layout().clients,
+            st_->layout().total_regs, Engine::initial_value(),
             [st = st_.get()](auto& ctx, int c) {
               return sharded_client_program(ctx, st, c);
             })) {}

@@ -1,9 +1,8 @@
 // The static-analysis layer: footprint extraction (the schedule battery over
 // each family's systems, and the access map it fills), the ownership lint
-// against deliberately broken families, lowering declared masks into the
-// explorer's WriteFootprints, and the happens-before ownership race
-// detector — clean on the real max-scan and catching a planted multi-writer
-// variant.
+// against deliberately broken families — a planted multi-writer max-scan
+// among them — and lowering declared masks into the explorer's
+// WriteFootprints.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,11 +14,8 @@
 #include "analysis/access_map.hpp"
 #include "analysis/footprint.hpp"
 #include "api/registry.hpp"
-#include "runtime/scheduler.hpp"
 #include "runtime/system.hpp"
-#include "util/rng.hpp"
 #include "verify/explorer.hpp"
-#include "verify/race_detector.hpp"
 
 namespace {
 
@@ -29,7 +25,7 @@ constexpr std::uint64_t bit(int p) { return std::uint64_t{1} << p; }
 
 // A buggy max-scan variant: each getTS writes the NEIGHBOR's register
 // ((pid + 1) % n) instead of its own — a multi-writer violation of the
-// declared SWMR footprint that the lint and the race detector must catch.
+// declared SWMR footprint that the lint must catch.
 runtime::ProcessTask rogue_maxscan_program(
     runtime::System<std::int64_t>::Ctx& ctx, int pid, int n, int num_calls) {
   for (int k = 0; k < num_calls; ++k) {
@@ -118,6 +114,17 @@ TEST(Footprint, GrowingPoolTailObservedNeverWritten) {
   }
 }
 
+TEST(Footprint, RejectsCountsOnlySpec) {
+  // The access map is read off step infos, which a kCountsOnly system does
+  // not keep; observing one would silently see no accesses at all.
+  api::ScenarioSpec spec;
+  spec.n = 2;
+  spec.recording = runtime::RecordingMode::kCountsOnly;
+  EXPECT_THROW(static_cast<void>(analysis::observe_footprint(
+                   api::family("maxscan"), spec)),
+               invariant_error);
+}
+
 TEST(Footprint, WriteFootprintsLowersDeclaredMasks) {
   const api::TimestampFamily& fam = api::family("maxscan");
   api::ScenarioSpec spec;
@@ -173,72 +180,6 @@ TEST(FootprintLint, RejectsMultiWriterMaskInSwmrFamily) {
   const analysis::LintReport report = analysis::lint_footprints(broken, spec);
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.to_string().find("declared SWMR"), std::string::npos);
-}
-
-TEST(RaceDetector, CleanOnRealMaxscan) {
-  const api::TimestampFamily& fam = api::family("maxscan");
-  api::ScenarioSpec spec;
-  spec.n = 3;
-  spec.calls_per_process = 2;
-  const auto fp = analysis::write_footprints(fam, spec);
-  auto sys = fam.factory(spec)();
-  runtime::run_round_robin(*sys, 1u << 20);
-  const verify::RaceCheckResult rc = verify::detect_races(*sys, fp.get());
-  EXPECT_TRUE(rc.ok());
-  EXPECT_GT(rc.steps_analyzed, 0u);
-}
-
-TEST(RaceDetector, CatchesPlantedMultiWriterBugAtPinnedSeed) {
-  // The differential test the issue pins: same declared footprint, one
-  // rogue write per call, a fixed seed — the detector must flag the
-  // neighbor's write as an undeclared-writer race.
-  const int n = 3;
-  const int calls = 2;
-  const api::TimestampFamily& fam = api::family("maxscan");
-  api::ScenarioSpec spec;
-  spec.n = n;
-  spec.calls_per_process = calls;
-  const auto fp = analysis::write_footprints(fam, spec);
-
-  {
-    // Guaranteed witness: p1 collects reg 0 and reg 1 first, then p0 runs a
-    // whole call — p0's rogue write to reg 1 is unordered with p1's earlier
-    // read of it (p0 acquired nothing: every register it read was
-    // unwritten), and p0 is not reg 1's declared writer.
-    auto sys = rogue_maxscan_factory(n, calls)();
-    const std::vector<int> schedule = {1, 1, 0, 0, 0, 0};
-    runtime::run_script(*sys, schedule);
-    const verify::RaceCheckResult rc = verify::detect_races(*sys, fp.get());
-    ASSERT_FALSE(rc.ok());
-    EXPECT_EQ(rc.races.front().reg, 1);
-    EXPECT_EQ(rc.races.front().undeclared_mask, bit(0));
-  }
-
-  auto sys = rogue_maxscan_factory(n, calls)();
-  util::Rng rng(42);  // pinned seed
-  runtime::run_random(*sys, rng, 1u << 20);
-  const verify::RaceCheckResult rc = verify::detect_races(*sys, fp.get());
-  ASSERT_FALSE(rc.ok());
-  for (const verify::RaceReport& r : rc.races) {
-    EXPECT_NE(r.undeclared_mask, 0u) << r.to_string();
-    // The undeclared writer really is outside the declared mask of the reg.
-    EXPECT_EQ(r.undeclared_mask & fp->writers_of(r.reg), 0u)
-        << r.to_string();
-  }
-}
-
-TEST(RaceDetector, DegradesToPlainHbCheckWithoutFootprints) {
-  // With no declared map every unordered conflicting pair is reported:
-  // max-scan's blind write of register p after another process's collect
-  // read of p is exactly such a pair.
-  const api::TimestampFamily& fam = api::family("maxscan");
-  api::ScenarioSpec spec;
-  spec.n = 2;
-  spec.calls_per_process = 1;
-  auto sys = fam.factory(spec)();
-  runtime::run_round_robin(*sys, 1u << 20);
-  const verify::RaceCheckResult rc = verify::detect_races(*sys, nullptr);
-  EXPECT_FALSE(rc.ok());
 }
 
 TEST(ExactFootprints, NeverWidensThePersistentTree) {

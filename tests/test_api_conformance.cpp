@@ -20,7 +20,6 @@
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 #include "verify/hb_checker.hpp"
-#include "verify/race_detector.hpp"
 
 namespace {
 
@@ -124,6 +123,46 @@ TEST_P(FamilyConformance, SpaceStaysWithinDeclaredBound) {
   }
 }
 
+TEST_P(FamilyConformance, SpecRecordingModeReachesEveryBuiltSystem) {
+  // ScenarioSpec::recording is applied where the system is built, so
+  // make(spec), factory(spec) and make_sharded(spec) all honour it. A
+  // kCountsOnly build runs the identical computation as the kFull build
+  // under one deterministic schedule (same step, call and register counts)
+  // and keeps no per-step record.
+  constexpr std::uint64_t kMaxSteps = std::uint64_t{1} << 22;
+  constexpr auto kCountsOnly = runtime::RecordingMode::kCountsOnly;
+  for (api::ScenarioSpec spec : specs()) {
+    const std::string size = "n=" + std::to_string(spec.n) +
+                             " calls=" + std::to_string(spec.calls_per_process);
+    auto full = fam().make(spec);
+    spec.recording = kCountsOnly;
+    auto counts = fam().make(spec);
+    ASSERT_EQ(counts->system().recording_mode(), kCountsOnly) << size;
+    EXPECT_EQ(fam().factory(spec)()->recording_mode(), kCountsOnly) << size;
+
+    runtime::run_round_robin(full->system(), kMaxSteps);
+    runtime::run_round_robin(counts->system(), kMaxSteps);
+    ASSERT_TRUE(full->system().all_finished()) << size;
+    ASSERT_TRUE(counts->system().all_finished()) << size;
+    EXPECT_EQ(counts->system().steps_taken(), full->system().steps_taken())
+        << size;
+    EXPECT_EQ(counts->system().calls_completed_total(),
+              full->system().calls_completed_total())
+        << size;
+    EXPECT_EQ(counts->system().registers_written(),
+              full->system().registers_written())
+        << size;
+    EXPECT_TRUE(counts->system().step_infos().empty()) << size;
+  }
+
+  api::ScenarioSpec sharded;
+  sharded.n = 3;
+  sharded.shard.shards = 1;
+  sharded.recording = kCountsOnly;
+  EXPECT_EQ(fam().make_sharded(sharded)->system().recording_mode(),
+            kCountsOnly);
+}
+
 TEST_P(FamilyConformance, TimestampPropertyInExploredInterleavings) {
   // Model check of the smallest scenario. For the integer-register families
   // the schedule tree fits the budget, so the property is certified in
@@ -204,7 +243,7 @@ TEST_P(FamilyConformance, ParallelExplorerMatchesSerial) {
   opts.persistent = true;
   const auto serial = api::Harness{}.run_scenario(
       fam(), spec, api::exhaustive_explorer(opts));
-  spec.explore_threads = 4;  // surfaced through the spec, not the source
+  opts.threads = 4;
   const auto parallel = api::Harness{}.run_scenario(
       fam(), spec, api::exhaustive_explorer(opts));
 
@@ -261,49 +300,22 @@ TEST_P(FamilyConformance, PersistentSetsExploreNoMoreNodesAndAgree) {
 
 TEST_P(FamilyConformance, FootprintLintPasses) {
   // Every family declares its register-ownership discipline
-  // (api::FootprintSpec); the lint diffs it against observed executions and
-  // must come back clean at the sizes the issue pins (n in {2,3,4}).
-  for (int n : {2, 3, 4}) {
-    for (int calls : {1, 2}) {
+  // (api::FootprintSpec); the lint diffs it against observed executions
+  // (both sequential orders, round robin and seeded random schedules) and
+  // must come back clean: no write outside a declared writer mask, at every
+  // size up to n = 16 and every call count in {1, 2, 3, 6} the family
+  // supports.
+  for (int n : {2, 3, 4, 5, 8, 16}) {
+    for (int calls : {1, 2, 3, 6}) {
       api::ScenarioSpec spec;
       spec.n = n;
       spec.calls_per_process = calls;
       if (!fam().supports(spec)) continue;
       const analysis::LintReport report =
           analysis::lint_footprints(fam(), spec);
-      EXPECT_TRUE(report.ok()) << report.to_string();
+      EXPECT_TRUE(report.ok()) << "n=" << n << " calls=" << calls << ": "
+                               << report.to_string();
       EXPECT_GT(report.observed.complete_runs, 0u);
-    }
-  }
-}
-
-TEST_P(FamilyConformance, RaceDetectorCleanOnRecordedTraces) {
-  // Every write of a registry family lands inside its declared writer mask,
-  // so the ownership race detector must flag nothing on any recorded trace
-  // — deterministic or random.
-  for (api::ScenarioSpec spec : specs()) {
-    if (spec.n > 16) continue;  // keep the battery fast; kinds don't change
-    const runtime::SystemFactory make = fam().factory(spec);
-    const auto fp = analysis::write_footprints(fam(), spec);
-
-    const auto expect_clean = [&](runtime::ISystem& sys) {
-      const verify::RaceCheckResult rc = verify::detect_races(sys, fp.get());
-      EXPECT_TRUE(rc.ok())
-          << fam().name << " n=" << spec.n
-          << " calls=" << spec.calls_per_process << ": "
-          << rc.races.front().to_string();
-    };
-
-    {
-      auto sys = make();
-      runtime::run_round_robin(*sys, 1u << 22);
-      expect_clean(*sys);
-    }
-    for (std::uint64_t seed : {1u, 7u, 41u}) {
-      auto sys = make();
-      util::Rng rng(spec.seed ^ seed);
-      runtime::run_random(*sys, rng, 1u << 22);
-      expect_clean(*sys);
     }
   }
 }

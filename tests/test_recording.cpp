@@ -53,7 +53,6 @@ TEST(RecordingModes, CountsOnlyMatchesFullOnEveryCounter) {
   for (int r = 0; r < full->num_registers(); ++r) {
     EXPECT_EQ(counts->register_repr(r), full->register_repr(r)) << r;
     EXPECT_EQ(counts->writes_to(r), full->writes_to(r)) << r;
-    EXPECT_EQ(counts->register_version(r), full->register_version(r)) << r;
   }
 
   // kFull retains the per-step bookkeeping; kCountsOnly retains none.
@@ -134,9 +133,8 @@ TEST(VersionedRead, VersionIsTheWriteCountAndMonotonePerWrite) {
   EXPECT_EQ(seen[2], (runtime::Versioned<std::int64_t>{7, 2}));
   // Each versioned read is one step, like a plain read: 3 reads + 2 writes.
   EXPECT_EQ(sys.steps_taken(), 5u);
-  // ISystem surfaces the same clock.
-  EXPECT_EQ(sys.register_version(0), 2u);
-  EXPECT_EQ(sys.register_version(0), sys.writes_to(0));
+  // ISystem surfaces the same clock as the write count.
+  EXPECT_EQ(sys.writes_to(0), 2u);
   // The trace records versioned reads as plain reads (same footprint).
   EXPECT_EQ(sys.trace().size(), 5u);
   EXPECT_EQ(sys.trace()[0].kind, runtime::OpKind::kRead);

@@ -209,7 +209,7 @@ TEST(AdversaryDeterminism, ExhaustiveReportInvariantAcrossExploreThreads) {
   api::ScenarioReport baseline;
   bool have_baseline = false;
   for (int threads : {1, 2, 4}) {
-    spec.explore_threads = threads;
+    opts.threads = threads;
     auto report = api::Harness{}.run_scenario(
         api::family("maxscan"), spec, api::exhaustive_explorer(opts));
     EXPECT_EQ(report.explore_workers, threads);
