@@ -69,36 +69,47 @@ struct ModeRun {
   double steps_per_sec = 0.0;
 };
 
-ModeRun run_mode(runtime::RecordingMode mode, int reps) {
+/// Runs the T5 workload once in `mode` into `out`, keeping the best
+/// steps/sec over the runs made so far.
+void run_mode_once(runtime::RecordingMode mode, ModeRun& out) {
   using Clock = std::chrono::steady_clock;
-  ModeRun out;
-  for (int r = 0; r < reps; ++r) {
-    const auto inst = t5_instance(mode);
-    runtime::System<std::int64_t>* sys = &inst->sim();
-    const auto start = Clock::now();
-    runtime::run_round_robin(*sys, std::uint64_t{1} << 32);
-    const double secs = std::chrono::duration_cast<
-                            std::chrono::duration<double>>(Clock::now() -
-                                                           start)
-                            .count();
-    out.steps = sys->steps_taken();
-    out.calls = sys->calls_completed_total();
-    out.trace_entries = sys->trace().size();
-    out.view_bytes = 0;
-    for (int p = 0; p < sys->num_processes(); ++p) {
-      out.view_bytes += sys->process_view(p).size();
-    }
-    if (secs > 0) {
-      out.steps_per_sec = std::max(
-          out.steps_per_sec, static_cast<double>(out.steps) / secs);
-    }
+  const auto inst = t5_instance(mode);
+  runtime::System<std::int64_t>* sys = &inst->sim();
+  const auto start = Clock::now();
+  runtime::run_round_robin(*sys, std::uint64_t{1} << 32);
+  const double secs =
+      std::chrono::duration_cast<std::chrono::duration<double>>(Clock::now() -
+                                                                start)
+          .count();
+  out.steps = sys->steps_taken();
+  out.calls = sys->calls_completed_total();
+  out.trace_entries = sys->trace().size();
+  out.view_bytes = 0;
+  for (int p = 0; p < sys->num_processes(); ++p) {
+    out.view_bytes += sys->process_view(p).size();
   }
-  return out;
+  if (secs > 0) {
+    out.steps_per_sec =
+        std::max(out.steps_per_sec, static_cast<double>(out.steps) / secs);
+  }
 }
 
 double print_t8a() {
-  const ModeRun full = run_mode(runtime::RecordingMode::kFull, 3);
-  const ModeRun counts = run_mode(runtime::RecordingMode::kCountsOnly, 3);
+  // Best of 3 per mode, timed in interleaved rounds that alternate which
+  // mode goes first, so a noisy stretch of the host slows both modes
+  // rather than one of them.
+  using runtime::RecordingMode;
+  ModeRun full;
+  ModeRun counts;
+  for (int round = 0; round < 3; ++round) {
+    if (round % 2 == 0) {
+      run_mode_once(RecordingMode::kFull, full);
+      run_mode_once(RecordingMode::kCountsOnly, counts);
+    } else {
+      run_mode_once(RecordingMode::kCountsOnly, counts);
+      run_mode_once(RecordingMode::kFull, full);
+    }
+  }
   util::Table table(
       "T8a: recording modes, max-scan 8x2000 calls round-robin (T5 workload)",
       {"mode", "steps", "calls", "trace_entries", "view_bytes", "Msteps_per_s",

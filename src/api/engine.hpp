@@ -121,20 +121,4 @@ template <class V, class MakeTask>
   return sys;
 }
 
-/// A native run's report: the system's counters plus the recorder bytes of
-/// whoever owns the histories.
-[[nodiscard]] inline NativeRunStats native_run_stats(
-    native::RunStats raw, std::uint64_t recorder_arena_bytes) {
-  NativeRunStats stats;
-  stats.threads = raw.threads;
-  stats.elapsed_seconds = raw.elapsed_seconds;
-  stats.ops = raw.ops;
-  stats.calls = raw.calls;
-  stats.per_thread_calls = std::move(raw.per_thread_calls);
-  stats.retired_nodes = raw.retired_nodes;
-  stats.memory_arena_bytes = raw.memory_arena_bytes;
-  stats.recorder_arena_bytes = recorder_arena_bytes;
-  return stats;
-}
-
 }  // namespace stamped::api

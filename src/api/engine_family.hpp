@@ -81,8 +81,9 @@ class EngineInstance final : public FamilyInstance {
   NativeRunStats run_native(int threads) override {
     STAMPED_ASSERT_MSG(native_sys_ != nullptr,
                        "run_native on a simulated instance");
-    native::RunStats raw = native_sys_->run(threads);
-    return native_run_stats(std::move(raw), recorder_.arena_bytes());
+    NativeRunStats stats = native_sys_->run(threads);
+    stats.recorder_arena_bytes = recorder_.arena_bytes();
+    return stats;
   }
 
   // Typed read access, for tests and benches that inspect register values,

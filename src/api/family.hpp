@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "api/scenario.hpp"
+#include "native/run_stats.hpp"
 #include "runtime/history.hpp"
 #include "runtime/scheduler.hpp"
 #include "runtime/system.hpp"
@@ -89,19 +90,8 @@ template <class Ts, class Cmp>
   return g;
 }
 
-/// What a native (real-thread) run did; surfaced in ScenarioReport. All
-/// counter fields are deterministic given the call counts; elapsed time and
-/// the per-thread split are genuinely nondeterministic (the OS schedules).
-struct NativeRunStats {
-  int threads = 0;               ///< workers, the calling thread included
-  double elapsed_seconds = 0.0;  ///< first spawn to last program's end
-  std::uint64_t ops = 0;         ///< register operations executed
-  std::uint64_t calls = 0;       ///< completed getTS calls
-  std::vector<std::uint64_t> per_thread_calls;   ///< calls by worker index
-  std::uint64_t retired_nodes = 0;       ///< memory retirees after quiesce
-  std::uint64_t memory_arena_bytes = 0;  ///< AtomicMemory heap after quiesce
-  std::uint64_t recorder_arena_bytes = 0;  ///< history recorder block bytes
-};
+/// What a native (real-thread) run did; surfaced in ScenarioReport.
+using NativeRunStats = native::RunStats;
 
 /// A live scenario: the simulated system plus the typed history it records,
 /// viewed type-erased. The instance owns what the system's programs point

@@ -165,8 +165,9 @@ struct ScenarioReport {
   /// register ops and throughput (ops includes every read+write, so it is
   /// deterministic for scan-free families and workload-dependent for
   /// scanning ones) / completed calls per worker (sums to `calls`; the split
-  /// is OS-scheduling-dependent) / recorder block bytes / memory retirement
-  /// accounting after quiesce (retired_nodes is 0 on a clean quiesce).
+  /// is OS-scheduling-dependent) / recorder block bytes / memory accounting
+  /// after quiesce (retired_nodes, the displaced record nodes left, is 0 on
+  /// a clean quiesce).
   int native_threads = 0;
   double native_elapsed_seconds = 0.0;
   double native_ops_per_sec = 0.0;

@@ -18,7 +18,8 @@
 // NativeSystem itself is policy-free — it maps P programs onto W workers
 // (work claimed off an atomic counter, so W < P just serializes some
 // programs per worker), waits for every program to finish, quiesces the
-// memory's retirement stacks, and reports RunStats.
+// memory (frees the record nodes its writes displaced), and reports
+// RunStats.
 //
 // Workers: the calling thread is worker 0 and starts claiming at once; the
 // other W-1 are spawned. run() waits for programs, not threads: on a
@@ -48,40 +49,11 @@
 #include <vector>
 
 #include "atomicmem/atomic_memory.hpp"
+#include "native/run_stats.hpp"
 #include "runtime/coro.hpp"
 #include "util/assert.hpp"
 
 namespace stamped::native {
-
-/// Floor for RunStats::elapsed_seconds. Tiny runs (a handful of programs on
-/// a fast machine) can finish inside one steady_clock tick; dividing ops by
-/// a zero or sub-tick elapsed yields inf or garbage-of-ten rates. One
-/// microsecond is far below anything a thread spawn costs, so the clamp
-/// never distorts a real measurement — it only keeps degenerate runs finite.
-inline constexpr double kMinElapsedSeconds = 1e-6;
-
-/// What one run() did, for ScenarioReport's native fields and the T12 bench.
-struct RunStats {
-  int threads = 0;               ///< workers, the calling thread included
-  /// Wall time from the first spawn to the last program's end, clamped to
-  /// >= kMinElapsedSeconds so rate math (ops / elapsed) stays finite on
-  /// degenerate runs.
-  double elapsed_seconds = 0.0;
-  std::uint64_t ops = 0;         ///< register operations (sum of my_steps)
-  std::uint64_t calls = 0;       ///< completed getTS calls (note_call_complete)
-  std::vector<std::uint64_t> per_thread_calls;  ///< calls by worker index
-  std::uint64_t retired_nodes = 0;      ///< memory retirees left post-quiesce
-  std::uint64_t memory_arena_bytes = 0; ///< AtomicMemory heap after quiesce
-
-  [[nodiscard]] double ops_per_sec() const {
-    return static_cast<double>(ops) /
-           std::max(elapsed_seconds, kMinElapsedSeconds);
-  }
-  [[nodiscard]] double calls_per_sec() const {
-    return static_cast<double>(calls) /
-           std::max(elapsed_seconds, kMinElapsedSeconds);
-  }
-};
 
 namespace detail {
 
@@ -280,8 +252,8 @@ class NativeSystem {
       if (out.error) std::rethrow_exception(out.error);
     }
 
-    // The run's quiesce point: every program has finished, so nobody is
-    // pinned in this memory — free the whole retirement backlog.
+    // The run's quiesce point: every program has finished, so no thread
+    // reads or writes this memory any more — free every displaced node.
     mem_.quiesce();
 
     RunStats stats;

@@ -179,8 +179,9 @@ class TypedShardedInstance final : public ShardedInstance {
   api::NativeRunStats run_native(int threads) override {
     STAMPED_ASSERT_MSG(sys_.native != nullptr,
                        "sharded instance was built for the simulator");
-    native::RunStats raw = sys_.native->run(threads);
-    return api::native_run_stats(std::move(raw), recorder_bytes());
+    api::NativeRunStats stats = sys_.native->run(threads);
+    stats.recorder_arena_bytes = recorder_bytes();
+    return stats;
   }
 
   [[nodiscard]] api::GenericCallLog composed_calls() const override {

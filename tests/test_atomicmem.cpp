@@ -42,12 +42,13 @@ TEST(AtomicMemory, PointerCellBasics) {
 }
 
 TEST(AtomicMemory, PointerCellConcurrentReadersAndWriters) {
-  // Hammer one record register from multiple threads while epoch trims free
-  // retired nodes under live readers. Writer 0 installs one-id records
-  // (their id is inline), writer 1 installs 8-id records (each owns a heap
-  // array), so both shapes are freed under readers. A reader must always see
-  // ⊥ or one of the two well-formed shapes (no torn read or use after free;
-  // ASan and TSan check the same run).
+  // Hammer one record register from two writers while two readers copy it
+  // out. Writer 0 installs one-id records (their id is inline), writer 1
+  // installs 8-id records (each owns a heap array). A reader must always see
+  // ⊥ or one of the two well-formed shapes: no torn read (ASan and TSan
+  // check the same run). No node is freed while the threads run, and each
+  // racing exchange must link exactly the node it displaced, so the chain
+  // holds one node per write until quiesce() frees it.
   constexpr std::size_t kLongIds = 8;
   // Writer w's k-th record is <[pw.k pw.(k+1) ...], k>, 1 id long for
   // writer 0 and kLongIds long for writer 1.
@@ -93,10 +94,14 @@ TEST(AtomicMemory, PointerCellConcurrentReadersAndWriters) {
     }
     threads[0].join();
     threads[1].join();
+    // The walk reads only what the joined writers linked.
+    EXPECT_EQ(mem.retired_nodes(), 4000u);
     stop.store(true, std::memory_order_release);
   }
   EXPECT_EQ(malformed.load(), 0);
   EXPECT_TRUE(well_formed(mem.read(0)));
+  mem.quiesce();
+  EXPECT_EQ(mem.retired_nodes(), 0u);
 }
 
 TEST(DirectCtx, ImmediateAwaitersRunSynchronously) {
@@ -192,28 +197,25 @@ TEST(Threaded, MaxScanLongLivedUnderRealConcurrency) {
   EXPECT_TRUE(mono.ok()) << mono.to_string();
 }
 
-TEST(Reclamation, EpochTrimKeepsRetirementBoundedAcross10kWrites) {
-  // Node cells retire the unlinked node on every write. Without trimming,
-  // 10k writes would leave ~10k retirees; the epoch-counted trim must keep
-  // the outstanding backlog near kTrimThreshold at every point (retirees of
-  // the current epoch survive one round, hence the 2x + slack bound).
+TEST(Reclamation, DisplacedNodesLiveUntilQuiesce) {
+  // Every node-cell write displaces one node, and nothing frees it before
+  // quiesce(): 10k writes over two registers leave 10k displaced nodes
+  // behind the two current ones.
+  using Node = atomicmem::detail::AtomicCell<TsRecord>::Node;
   AtomicMemory<TsRecord> mem(2, TsRecord::bottom());
-  const std::uint64_t baseline = mem.arena_bytes();
   EXPECT_EQ(mem.retired_nodes(), 0u);
-  const std::uint64_t bound = 2 * AtomicMemory<TsRecord>::kTrimThreshold + 64;
-  std::uint64_t worst = 0;
+  EXPECT_EQ(mem.arena_bytes(), 2 * sizeof(Node));
   for (int k = 1; k <= 10000; ++k) {
     mem.write(k % 2, TsRecord::make({{0, k}}, k));
-    worst = std::max(worst, mem.retired_nodes());
-    ASSERT_LE(mem.retired_nodes(), bound) << "after write " << k;
   }
-  // The trim actually fired: the backlog cannot have stayed trivially small
-  // across 10k retirements without it, and the worst case stayed bounded.
-  EXPECT_GE(worst, AtomicMemory<TsRecord>::kTrimThreshold / 2);
+  EXPECT_EQ(mem.retired_nodes(), 10000u);
+  EXPECT_EQ(mem.arena_bytes(), 10002 * sizeof(Node));
   mem.quiesce();
   EXPECT_EQ(mem.retired_nodes(), 0u);
-  // Post-quiesce the heap is back to the live nodes alone (one per cell).
-  EXPECT_EQ(mem.arena_bytes(), baseline);
+  EXPECT_EQ(mem.arena_bytes(), 2 * sizeof(Node));
+  // The current values survive the quiesce.
+  EXPECT_EQ(mem.read(0), TsRecord::make({{0, 10000}}, 10000));
+  EXPECT_EQ(mem.read(1), TsRecord::make({{0, 9999}}, 9999));
 }
 
 TEST(Reclamation, InlineCellsReportZero) {
