@@ -11,12 +11,14 @@
 //
 // One EngineInstance<E> serves both backends. It owns the engine and one
 // history recorder, and builds its system from one program loop over
-// E::getts. On the simulator every stamp is unique and each record is
-// appended right after its response stamp, so the recorder's merge is the
-// order in which the calls completed, on either backend. Tests and benches
-// that need the family's own types build an EngineInstance<E> directly and
-// read its typed system (sim()), its typed records (records()) and its
-// engine (engine(), for per-run statistics).
+// E::getts. Every stamp is unique on either backend (a native invocation
+// may take the half-step after its process's previous response instead of
+// a clock draw), and on the simulator each record is appended right after
+// its response stamp, so the recorder's merge is the order in which the
+// calls completed, on either backend. Tests and benches that need the
+// family's own types build an EngineInstance<E> directly and read its typed
+// system (sim()), its typed records (records()) and its engine (engine(),
+// for per-run statistics).
 #pragma once
 
 #include <cstdint>

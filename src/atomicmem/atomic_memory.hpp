@@ -19,8 +19,10 @@
 // (kLinePair): different writers' cells never share the pair that the
 // adjacent-line prefetcher moves together. The block is a plain byte
 // allocation aligned by hand, not an over-aligned new. DirectCtx adds a
-// per-process op counter and nothing shared: only stamp() touches the one
-// shared event clock, twice per call.
+// per-process op counter and nothing shared: only stamps touch the one
+// shared event clock, once per call after a process's first (its response;
+// the invocation takes the half-step after the previous response) and
+// twice per first or one-shot call.
 //
 // Reclamation. Displaced nodes are freed only once the memory is quiescent,
 // so no node a reader can reach is freed under it and a read is one pointer
@@ -347,7 +349,8 @@ class AtomicMemory {
 /// Memory context for real threads: same interface as runtime::SimCtx, but
 /// every awaiter is immediately ready, so coroutines never suspend. A
 /// register op touches its register and this ctx's own counters, nothing
-/// else shared; the shared clock is reached only through stamp().
+/// else shared; the shared clock is reached only through stamp() (and
+/// invocation_stamp() when it cannot take a half-step).
 /// NativeSystem builds one per process, on the stack of the worker that
 /// runs it.
 template <class V>
@@ -404,14 +407,36 @@ class DirectCtx {
     return {mem_->fetch_add(reg, addend)};
   }
 
-  /// Invocation/response event stamp, unique and totally ordered across
-  /// threads: the one order a recorded history needs to be checkable.
+  /// Event stamp, unique and totally ordered across threads: the one order
+  /// a recorded history needs to be checkable. Always a fresh draw: the
+  /// clock's c-th draw returns the even stamp 2c.
   std::uint64_t stamp() {
-    return clock_->fetch_add(1, std::memory_order_seq_cst) + 1;
+    fresh_ = 2 * (clock_->fetch_add(1, std::memory_order_seq_cst) + 1);
+    fresh_ops_ = ops_;
+    return fresh_;
   }
-  /// Events stamped so far. Register ops do not tick the clock, so unlike
-  /// SimCtx::steps_now this is no global step count; a native scan's
-  /// linearize_step carries it, and nothing on this backend orders by it.
+  /// Invocation stamp of a getTS call. An invocation is a local event, so
+  /// it may sit anywhere between this process's previous event and its
+  /// first register op. If that previous event is a fresh draw 2c that no
+  /// register op and no earlier invocation has followed (typically the
+  /// previous call's response), the invocation takes the half-step 2c + 1
+  /// with no clock RMW; otherwise it draws. A response 2a then precedes it
+  /// (2a < 2c + 1) iff a ≤ c, i.e. iff that response was drawn no later
+  /// than 2c, so the checkers' `<` orders no pair that real time does not.
+  /// Only call starts may reuse: a response must be drawn after every
+  /// event of its call, register op or not.
+  std::uint64_t invocation_stamp() {
+    if (fresh_ != 0 && fresh_ops_ == ops_) {
+      const std::uint64_t half_step = fresh_ + 1;
+      fresh_ = 0;  // each draw lends at most one half-step
+      return half_step;
+    }
+    return stamp();
+  }
+  /// Clock draws so far, by every process. Register ops and half-step
+  /// invocations do not draw, so unlike SimCtx::steps_now this is no
+  /// global step count; a native scan's linearize_step carries it, and
+  /// nothing on this backend orders by it.
   [[nodiscard]] std::uint64_t steps_now() const {
     return clock_->load(std::memory_order_relaxed);
   }
@@ -428,6 +453,8 @@ class DirectCtx {
   std::atomic<std::uint64_t>* clock_;
   std::uint64_t ops_ = 0;
   std::uint64_t calls_ = 0;
+  std::uint64_t fresh_ = 0;      ///< last draw, 0 once lent (or none yet)
+  std::uint64_t fresh_ops_ = 0;  ///< ops_ when fresh_ was drawn
 };
 
 }  // namespace stamped::atomicmem

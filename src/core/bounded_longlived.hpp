@@ -157,7 +157,7 @@ runtime::SubTask<BoundedTimestamp> bounded_getts(Ctx& ctx, int pid, int n,
                                                  std::int32_t modulus,
                                                  int call_index, Log* log,
                                                  BoundedStats* stats) {
-  const std::uint64_t invoked = ctx.stamp();
+  const std::uint64_t invoked = ctx.invocation_stamp();
   // Version-clock scan: O(n) integer comparison per double collect instead
   // of O(n) label comparisons, same step count (every recycling write ticks
   // the own component, so values never repeat between adjacent writes).

@@ -43,7 +43,7 @@ class FetchAddTimestamp {
 template <class Ctx, class Log>
 runtime::SubTask<std::int64_t> fetchadd_getts(Ctx& ctx, int pid,
                                               int call_index, Log* log) {
-  const std::uint64_t invoked = ctx.stamp();
+  const std::uint64_t invoked = ctx.invocation_stamp();
   const std::int64_t t = (co_await ctx.fetch_add(0, std::int64_t{1})) + 1;
   if (log != nullptr) {
     log->record({pid, call_index, t, invoked, ctx.stamp()});

@@ -38,7 +38,7 @@ namespace stamped::core {
 template <class Ctx, class Log>
 runtime::SubTask<std::int64_t> maxscan_getts(Ctx& ctx, int pid, int n,
                                              int call_index, Log* log) {
-  const std::uint64_t invoked = ctx.stamp();
+  const std::uint64_t invoked = ctx.invocation_stamp();
   std::int64_t mx = 0;
   for (int i = 0; i < n; ++i) {
     mx = std::max(mx, co_await ctx.read(i));

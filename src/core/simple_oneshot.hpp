@@ -36,7 +36,7 @@ namespace stamped::core {
 template <class Ctx, class Log>
 runtime::SubTask<std::int64_t> simple_getts(Ctx& ctx, int pid, int n,
                                             int call_index, Log* log) {
-  const std::uint64_t invoked = ctx.stamp();
+  const std::uint64_t invoked = ctx.invocation_stamp();
   const int m = simple_oneshot_registers(n);
   const int own = simple_own_register(pid);
   std::int64_t sum = 0;

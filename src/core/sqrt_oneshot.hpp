@@ -98,7 +98,7 @@ template <class Ctx, class Log>
 runtime::SubTask<PairTimestamp> sqrt_getts(
     Ctx& ctx, TsId id, int m, Log* log, SqrtStats* stats,
     SqrtVariant variant = SqrtVariant::kPaper) {
-  const std::uint64_t invoked = ctx.stamp();
+  const std::uint64_t invoked = ctx.invocation_stamp();
 
   // Lines 1-3: scan forward for the first ⊥ register. Only the last non-⊥
   // value, the paper's r[myrnd], is read later (line 7), so that is all

@@ -11,10 +11,13 @@
 //
 // Correctness transfers by post-hoc checking (the Haldar–Vitányi move:
 // validate the recorded history, not the scheduler): programs record each
-// completed call into a native::HistoryRecorder arena, with invocation and
-// response stamps drawn from the one shared seq_cst clock, and the merged
-// log feeds the exact same property checkers as simulated runs. Register
-// ops do not tick that clock; the stamps alone order the history.
+// completed call into a native::HistoryRecorder arena, with unique
+// invocation and response stamps from the one shared seq_cst clock, and
+// the merged log feeds the exact same property checkers as simulated runs.
+// Register ops do not tick that clock, and a call after a process's first
+// draws only its response: its invocation takes the half-step after the
+// previous response (DirectCtx::invocation_stamp). The stamps alone order
+// the history.
 // NativeSystem itself is policy-free — it maps P programs onto W workers
 // (work claimed off an atomic counter, so W < P just serializes some
 // programs per worker), waits for every program to finish, quiesces the
@@ -69,7 +72,8 @@ struct Isolated {
   std::byte after[atomicmem::kLinePair - sizeof(T)];
 };
 
-/// The stamp clock, which every worker RMWs twice per call.
+/// The stamp clock, which a worker RMWs for every response and for every
+/// invocation that cannot take a half-step (DirectCtx::invocation_stamp).
 using StampClock = Isolated<std::atomic<std::uint64_t>>;
 
 /// How the workers of one run share out the programs: the next unclaimed

@@ -9,10 +9,11 @@
 // store with no lock and no shared state at all; on the simulator the
 // programs take turns on one thread. The shared completion clock
 // (DirectCtx::stamp, one atomic fetch_add; SimCtx::stamp on the simulator)
-// is the only cross-thread traffic per call, and it is the same clock that
-// stamps invocations — stamps are therefore unique and totally ordered,
-// which is what lets the merge sort records into the real-time order the
-// checkers need.
+// is the only cross-thread traffic per call, and invocations are stamped
+// on the same scale: by a draw, or on real threads by the half-step right
+// after the process's previous response (DirectCtx::invocation_stamp).
+// Stamps are therefore unique and totally ordered, which is what lets the
+// merge sort records into the real-time order the checkers need.
 //
 // merged() runs at quiesce, after every program has finished: plain reads
 // of per-process arenas with no concurrent writers (NativeSystem::run's

@@ -144,6 +144,11 @@ class SimCtx {
   /// Monotone event counter; used to timestamp method invocations/responses
   /// for the happens-before checker. Strictly increases across all events.
   std::uint64_t stamp();
+  /// Invocation stamp of a getTS call: a plain stamp(). A non-first
+  /// invocation is already stamped inside the step that completed the
+  /// process's previous call, right after its response (DirectCtx takes
+  /// the half-step there instead of a fresh draw).
+  std::uint64_t invocation_stamp() { return stamp(); }
 
   /// Global steps executed so far (each shared-memory op is one step).
   [[nodiscard]] std::uint64_t steps_now() const;

@@ -42,6 +42,7 @@ class OffsetCtx {
   }
 
   std::uint64_t stamp() { return inner_.stamp(); }
+  std::uint64_t invocation_stamp() { return inner_.invocation_stamp(); }
   [[nodiscard]] std::uint64_t steps_now() const { return inner_.steps_now(); }
   [[nodiscard]] std::uint64_t my_steps() const { return inner_.my_steps(); }
   void note_call_complete() { inner_.note_call_complete(); }

@@ -129,7 +129,7 @@ runtime::SubTask<int> sharded_one_call(Ctx& ctx, ShardedState<Engine>* st,
                                        int client, int k) {
   using Ts = typename Engine::Ts;
   const int s = st->layout().route(client, k);
-  const std::uint64_t invoked = ctx.stamp();
+  const std::uint64_t invoked = ctx.invocation_stamp();
   OffsetCtx<Ctx> octx(ctx, st->layout().base[static_cast<std::size_t>(s)],
                       st->layout().regs[static_cast<std::size_t>(s)]);
   const Ts local = co_await st->engine().getts(

@@ -144,10 +144,35 @@ TEST(DirectCtx, RegisterOpsCountAsStepsButLeaveTheClockAlone) {
   EXPECT_EQ(clock.load(), 0u);
   EXPECT_EQ(ctx.steps_now(), 0u);
 
-  EXPECT_EQ(ctx.stamp(), 1u);
+  EXPECT_EQ(ctx.stamp(), 2u);  // the clock's first draw, stamped 2 * 1
   EXPECT_EQ(clock.load(), 1u);
   EXPECT_EQ(ctx.steps_now(), 1u);
   EXPECT_EQ(ctx.my_steps(), 5u);  // a stamp is not a register op
+}
+
+TEST(DirectCtx, InvocationReusesOnlyAnUntouchedFreshStamp) {
+  // invocation_stamp() takes the half-step after the last fresh draw only
+  // while no register op has followed that draw and no invocation has taken
+  // it yet; stamp() always draws.
+  AtomicMemory<std::int64_t> mem(1, 0);
+  std::atomic<std::uint64_t> clock{0};
+  DirectCtx<std::int64_t> ctx(&mem, 0, &clock);
+
+  EXPECT_EQ(ctx.stamp(), 2u);
+  EXPECT_EQ(ctx.invocation_stamp(), 3u);  // the half-step after 2
+  EXPECT_EQ(clock.load(), 1u);            // ... with no draw
+  EXPECT_EQ(ctx.invocation_stamp(), 4u);  // 2 is lent once: draw
+  EXPECT_EQ(clock.load(), 2u);
+
+  EXPECT_EQ(ctx.stamp(), 6u);  // stamp() never reuses,
+  EXPECT_EQ(ctx.stamp(), 8u);  // not even an untouched draw
+  EXPECT_EQ(clock.load(), 4u);
+
+  EXPECT_EQ(ctx.stamp(), 10u);
+  EXPECT_EQ(ctx.read(0).await_resume(), 0);
+  EXPECT_EQ(ctx.invocation_stamp(), 12u);  // a register op followed 10
+  EXPECT_EQ(clock.load(), 6u);
+  EXPECT_EQ(ctx.steps_now(), 6u);  // draws, not stamps handed out
 }
 
 TEST(Threaded, SimpleOneShotPropertyUnderRealConcurrency) {

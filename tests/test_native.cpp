@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -21,6 +22,7 @@
 #include "native/recorder.hpp"
 #include "runtime/coro.hpp"
 #include "util/assert.hpp"
+#include "verify/hb_checker.hpp"
 
 namespace {
 
@@ -153,16 +155,19 @@ std::vector<std::uint64_t> sorted_stamps(
   return stamps;
 }
 
-/// 1, 2, ..., 2 * calls: one invocation and one response stamp per call.
-std::vector<std::uint64_t> call_events(std::size_t calls) {
-  std::vector<std::uint64_t> events(2 * calls);
-  std::iota(events.begin(), events.end(), std::uint64_t{1});
-  return events;
+/// 2, 4, ..., 2 * draws: the stamps of the clock's first `draws` draws.
+std::vector<std::uint64_t> clock_draws(std::size_t draws) {
+  std::vector<std::uint64_t> stamps(draws);
+  for (std::size_t c = 0; c < draws; ++c) stamps[c] = 2 * (c + 1);
+  return stamps;
 }
 
 TEST(NativeSystem, StampsAreExactlyTheCallEventsOnMaxScan) {
-  // Register ops never tick the shared clock, so C calls draw exactly the
-  // stamps 1..2C. A per-op tick would leave gaps of n + 1 per call.
+  // Register ops never tick the shared clock, and a call after a process's
+  // first takes the half-step after its previous response instead of a
+  // draw: C calls per process draw C + 1 times, so the even stamps are
+  // exactly the clock's n(C + 1) draws. A per-op tick would leave gaps of
+  // n + 1 draws per call.
   const int n = 4;
   const int calls = 500;
   api::EngineInstance<api::MaxscanEngine> inst(
@@ -170,18 +175,80 @@ TEST(NativeSystem, StampsAreExactlyTheCallEventsOnMaxScan) {
   const auto stats = inst.run_native(n);
   const std::size_t total = static_cast<std::size_t>(n) * calls;
   EXPECT_EQ(stats.calls, total);
-  EXPECT_EQ(sorted_stamps(inst.records()), call_events(total));
+
+  const auto records = inst.records();
+  const std::vector<std::uint64_t> stamps = sorted_stamps(records);
+  std::vector<std::uint64_t> even;
+  std::copy_if(stamps.begin(), stamps.end(), std::back_inserter(even),
+               [](std::uint64_t s) { return s % 2 == 0; });
+  EXPECT_EQ(even, clock_draws(static_cast<std::size_t>(n) * (calls + 1)));
+  EXPECT_EQ(std::adjacent_find(stamps.begin(), stamps.end()), stamps.end())
+      << "stamps must be distinct";
+
+  std::vector<std::vector<runtime::CallRecord<std::int64_t>>> by_pid(n);
+  for (const auto& r : records) {
+    by_pid[static_cast<std::size_t>(r.pid)].push_back(r);
+  }
+  for (auto& mine : by_pid) {
+    ASSERT_EQ(mine.size(), static_cast<std::size_t>(calls));
+    std::sort(mine.begin(), mine.end(), [](const auto& a, const auto& b) {
+      return a.call_index < b.call_index;
+    });
+    for (int k = 1; k < calls; ++k) {
+      const auto& prev = mine[static_cast<std::size_t>(k - 1)];
+      const auto& call = mine[static_cast<std::size_t>(k)];
+      EXPECT_EQ(call.invoked_at, prev.responded_at + 1)
+          << "p" << call.pid << " call " << k;
+    }
+  }
 }
 
 TEST(NativeSystem, StampsAreExactlyTheCallEventsOnSqrtOneShot) {
-  // Algorithm 4 on node cells, with scans: the stamps are still exactly the
-  // 2 per call, however many register ops each call made.
+  // Algorithm 4 on node cells, with scans: a one-call process has no
+  // earlier response to follow, so its invocation draws too, and the
+  // stamps are exactly the clock's 2 draws per call, however many register
+  // ops each call made.
   const int n = 64;
   api::EngineInstance<api::SqrtEngine> inst({.n = n}, api::Backend::kNative);
   const auto stats = inst.run_native(4);
   EXPECT_EQ(stats.calls, static_cast<std::uint64_t>(n));
   EXPECT_EQ(sorted_stamps(inst.records()),
-            call_events(static_cast<std::size_t>(n)));
+            clock_draws(2 * static_cast<std::size_t>(n)));
+}
+
+TEST(NativeSystem, EverySamePidPairStaysOrdered) {
+  // A half-step invocation follows its process's previous response
+  // (2c < 2c + 1), so the checkers' `<` still orders each process's calls
+  // into one chain: all C(C − 1)/2 same-pid pairs per process are ordered,
+  // and every pair of the history is either ordered or concurrent. Reusing
+  // the response stamp itself would drop the n(C − 1) adjacent pairs.
+  const int n = 4;
+  const int calls = 500;
+  api::EngineInstance<api::MaxscanEngine> inst(
+      {.n = n, .calls_per_process = calls}, api::Backend::kNative);
+  (void)inst.run_native(4);
+  const auto records = inst.records();
+  const std::size_t total = records.size();
+  ASSERT_EQ(total, static_cast<std::size_t>(n) * calls);
+
+  const std::size_t same_pid =
+      static_cast<std::size_t>(n) * calls * (calls - 1) / 2;
+  const auto mono = verify::check_per_process_monotonicity(records,
+                                                           core::Compare{});
+  EXPECT_TRUE(mono.ok()) << mono.to_string();
+  EXPECT_EQ(mono.ordered_pairs_checked, same_pid);
+  const auto mono_sweep = verify::check_per_process_monotonicity_sweep(
+      records, core::Compare{});
+  EXPECT_TRUE(mono_sweep.ok()) << mono_sweep.to_string();
+  EXPECT_EQ(mono_sweep.ordered_pairs_checked, same_pid);
+
+  const auto prop = verify::check_timestamp_property(records, core::Compare{});
+  EXPECT_TRUE(prop.ok()) << prop.to_string();
+  EXPECT_EQ(prop.ordered_pairs_checked + prop.concurrent_pairs,
+            total * (total - 1) / 2);
+  const auto prop_sweep =
+      verify::check_timestamp_property_sweep(records, core::Compare{});
+  EXPECT_EQ(prop_sweep.ordered_pairs_checked, prop.ordered_pairs_checked);
 }
 
 TEST(NativeSystem, RateMathStaysFiniteOnDegenerateRuns) {
