@@ -15,10 +15,12 @@
 //   plain    — long-lived objects: persistent threads on one object.
 //
 // Every column runs through the same DirectCtx harness (the native
-// backend), so the comparison is apples-to-apples: each call stamps its
-// invocation and its response on the shared event clock that the history
-// machinery uses (register ops leave that clock alone) and records itself
-// in its process's arena. In particular the fetchadd column measures the
+// backend), so the comparison is apples-to-apples: each call draws its
+// response stamp from the shared event clock that the history machinery
+// uses (register ops leave that clock alone), and so does its invocation
+// unless it is not its process's first call, which takes the half-step
+// after the previous response instead; each call records itself in its
+// process's arena. In particular the fetchadd column measures the
 // baseline *family* under that harness, not the bare primitive — the
 // bare-atomic cost is BM_FetchAddGetTs in the timing section below.
 //

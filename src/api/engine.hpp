@@ -21,9 +21,8 @@
 // api/engine_family.hpp derives every TimestampFamily builder from an
 // engine; api/engines.hpp holds the registered ones. The sharded service
 // (shard/sharded_service.hpp) runs the same engine per shard. This header
-// also holds the two backend steps every built form shares: building the
-// simulated or native system from one program per process, and reporting a
-// native run.
+// also holds the backend step every built form shares: building the
+// simulated or native system from one task maker, make_task(ctx, pid).
 #pragma once
 
 #include <cstdint>
@@ -80,44 +79,30 @@ struct ScenarioSystem {
   std::unique_ptr<native::NativeSystem<V>> native;
 };
 
-namespace detail {
-
-/// `extra` follows the programs into Sys's constructor (the simulator's
-/// recording mode).
-template <class Sys, class MakeTask, class... Extra>
-[[nodiscard]] std::unique_ptr<Sys> make_system(
-    int processes, int registers, const typename Sys::Ctx::Value& initial,
-    const MakeTask& make_task, const Extra&... extra) {
-  std::vector<typename Sys::Program> programs;
-  programs.reserve(static_cast<std::size_t>(processes));
-  for (int p = 0; p < processes; ++p) {
-    programs.push_back([make_task, p](typename Sys::Ctx& ctx) {
-      return make_task(ctx, p);
-    });
-  }
-  return std::make_unique<Sys>(registers, initial, std::move(programs),
-                               extra...);
-}
-
-}  // namespace detail
-
-/// Builds `processes` programs on `backend`, process p running
-/// make_task(ctx, p) with that backend's ctx. A simulated system records in
-/// `recording` (a native one keeps no per-step record). Every program holds
-/// a copy of make_task, and the system keeps its programs (restarts re-run
-/// them).
+/// Builds `processes` processes on `backend`, process p running
+/// make_task(ctx, p) with that backend's ctx. A native system holds the one
+/// task maker and builds each program on the worker that runs it. A
+/// simulated system records in `recording` and keeps one program per
+/// process, each holding a copy of make_task (restarts re-run them).
 template <class V, class MakeTask>
 [[nodiscard]] ScenarioSystem<V> make_scenario_system(
     Backend backend, runtime::RecordingMode recording, int processes,
     int registers, const V& initial, const MakeTask& make_task) {
   ScenarioSystem<V> sys;
   if (backend == Backend::kNative) {
-    sys.native = detail::make_system<native::NativeSystem<V>>(
-        processes, registers, initial, make_task);
-  } else {
-    sys.sim = detail::make_system<runtime::System<V>>(
-        processes, registers, initial, make_task, recording);
+    sys.native = std::make_unique<native::NativeSystem<V>>(
+        registers, initial, processes, make_task);
+    return sys;
   }
+  using Sim = runtime::System<V>;
+  std::vector<typename Sim::Program> programs;
+  programs.reserve(static_cast<std::size_t>(processes));
+  for (int p = 0; p < processes; ++p) {
+    programs.push_back(
+        [make_task, p](typename Sim::Ctx& ctx) { return make_task(ctx, p); });
+  }
+  sys.sim = std::make_unique<Sim>(registers, initial, std::move(programs),
+                                  recording);
   return sys;
 }
 

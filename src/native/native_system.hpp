@@ -18,11 +18,14 @@
 // draws only its response: its invocation takes the half-step after the
 // previous response (DirectCtx::invocation_stamp). The stamps alone order
 // the history.
-// NativeSystem itself is policy-free — it maps P programs onto W workers
-// (work claimed off an atomic counter, so W < P just serializes some
-// programs per worker), waits for every program to finish, quiesces the
-// memory (frees the record nodes its writes displaced), and reports
-// RunStats.
+// NativeSystem itself is policy-free — it holds one program factory and a
+// process count, maps the P processes onto W workers (work claimed off an
+// atomic counter, so W < P just serializes some processes per worker), has
+// each claimed process's program built by the factory on its worker, waits
+// for every program to finish, quiesces the memory (frees the record nodes
+// its writes displaced), and reports RunStats. Nothing is built per process
+// ahead of the run: a program is a coroutine frame, made and freed on the
+// worker that runs it (runtime/frame_cache.hpp reuses it there).
 //
 // Workers: the calling thread is worker 0 and starts claiming at once; the
 // other W-1 are spawned. run() waits for programs, not threads: on a
@@ -138,27 +141,28 @@ class Stragglers {
 
 }  // namespace detail
 
-/// Runs one program per process on a pool of real threads. Single-use: build,
-/// run once, harvest the recorder. The memory lives here; programs reach it
+/// Runs `processes` programs on a pool of real threads, process p's built by
+/// make_task(ctx, p) on the worker that claims p. Single-use: build, run
+/// once, harvest the recorder. The memory lives here; programs reach it
 /// through the per-process DirectCtx their worker builds when it claims
 /// them.
 template <class V>
 class NativeSystem {
  public:
   using Ctx = atomicmem::DirectCtx<V>;
-  using Program = std::function<runtime::ProcessTask(Ctx&)>;
+  using Factory = std::function<runtime::ProcessTask(Ctx&, int pid)>;
 
-  NativeSystem(int num_registers, const V& initial,
-               std::vector<Program> programs)
-      : mem_(num_registers, initial), programs_(std::move(programs)) {
-    STAMPED_ASSERT_MSG(!programs_.empty(),
-                       "a native run needs at least one program");
+  NativeSystem(int num_registers, const V& initial, int processes,
+               Factory make_task)
+      : mem_(num_registers, initial),
+        make_task_(std::move(make_task)),
+        processes_(processes) {
+    STAMPED_ASSERT_MSG(processes_ > 0,
+                       "a native run needs at least one process");
   }
 
   [[nodiscard]] atomicmem::AtomicMemory<V>& memory() { return mem_; }
-  [[nodiscard]] int num_processes() const {
-    return static_cast<int>(programs_.size());
-  }
+  [[nodiscard]] int num_processes() const { return processes_; }
 
   /// Executes every program to completion on `threads` workers (0 = hardware
   /// concurrency; requests are honored even beyond the core count — the OS
@@ -207,8 +211,7 @@ class NativeSystem {
           // per-process facts. The task's frame refers to the ctx, so the
           // task is declared after it and destroyed first.
           Ctx ctx(&mem_, p, &clock_.value);
-          runtime::ProcessTask task =
-              programs_[static_cast<std::size_t>(p)](ctx);
+          runtime::ProcessTask task = make_task_(ctx, p);
           task.handle().resume();
           // Immediately-ready awaiters: one resume runs the whole program.
           STAMPED_ASSERT_MSG(task.done(),
@@ -278,7 +281,8 @@ class NativeSystem {
 
  private:
   atomicmem::AtomicMemory<V> mem_;
-  std::vector<Program> programs_;
+  Factory make_task_;
+  int processes_;
   detail::StampClock clock_;
   bool ran_ = false;
 };

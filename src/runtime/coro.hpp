@@ -15,6 +15,10 @@
 //  - SubTask<T>: a nested coroutine (e.g. the double-collect scan) awaited by
 //    a ProcessTask or another SubTask. Suspension inside a subtask suspends
 //    the whole logical process; completion resumes the awaiter.
+//
+// Both promises derive from CachedFrame (runtime/frame_cache.hpp), so a
+// frame freed by one call or one process serves the next of its size on
+// that thread.
 #pragma once
 
 #include <coroutine>
@@ -22,6 +26,7 @@
 #include <optional>
 #include <utility>
 
+#include "runtime/frame_cache.hpp"
 #include "util/assert.hpp"
 
 namespace stamped::runtime {
@@ -31,7 +36,7 @@ namespace stamped::runtime {
 /// inspected, running it up to its first shared-memory operation.
 class ProcessTask {
  public:
-  struct promise_type {
+  struct promise_type : CachedFrame {
     std::exception_ptr exception;
 
     ProcessTask get_return_object() {
@@ -98,7 +103,7 @@ class [[nodiscard]] SubTask {
                 "SubTask<void> is not needed by this library");
 
  public:
-  struct promise_type {
+  struct promise_type : CachedFrame {
     std::optional<T> value;
     std::exception_ptr exception;
     /// The awaiter, set only once the subtask has suspended: a subtask

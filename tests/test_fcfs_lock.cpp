@@ -85,17 +85,14 @@ TEST(FcfsLock, WorksUnderRealThreads) {
   const int rounds = 25;
   for (int trial = 0; trial < 5; ++trial) {
     apps::BakeryLog log;
-    std::vector<native::NativeSystem<std::int64_t>::Program> programs;
     const BakeryLayout layout{n};
-    for (int p = 0; p < n; ++p) {
-      programs.push_back(
-          [layout, p, rounds, &log](atomicmem::DirectCtx<std::int64_t>& ctx) {
-            return apps::bakery_worker_program(ctx, layout, p, rounds, &log,
-                                               nullptr);
-          });
-    }
-    native::NativeSystem<std::int64_t> sys(BakeryLayout::registers(n), 0,
-                                           std::move(programs));
+    native::NativeSystem<std::int64_t> sys(
+        BakeryLayout::registers(n), 0, n,
+        [layout, rounds, &log](atomicmem::DirectCtx<std::int64_t>& ctx,
+                               int p) {
+          return apps::bakery_worker_program(ctx, layout, p, rounds, &log,
+                                             nullptr);
+        });
     (void)sys.run(n);
     auto records = log.snapshot();
     ASSERT_EQ(records.size(), static_cast<std::size_t>(n * rounds));

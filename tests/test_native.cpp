@@ -24,12 +24,16 @@
 #include "util/assert.hpp"
 #include "verify/hb_checker.hpp"
 
+#include "count_allocations.hpp"
+
 namespace {
 
 using namespace stamped;
 using native::CallArena;
 using native::HistoryRecorder;
 using native::NativeSystem;
+using Ctx = atomicmem::DirectCtx<std::int64_t>;
+using stamped_test::allocations_in;
 
 /// Process p's program on a hand-built native system: `calls` getTS calls
 /// of the n-process max-scan engine, recorded into `arena` unless it is
@@ -110,10 +114,23 @@ TEST(Recorder, MergeSortsByCompletionStamp) {
   EXPECT_EQ(merged[2].ts, 21);
   EXPECT_EQ(merged[3].ts, 11);
   EXPECT_EQ(rec.size(), 4u);
-  const auto counts = rec.per_arena_counts();
-  ASSERT_EQ(counts.size(), 2u);
-  EXPECT_EQ(counts[0], 2u);
-  EXPECT_EQ(counts[1], 2u);
+  EXPECT_EQ(rec.arena(0).size(), 2u);
+  EXPECT_EQ(rec.arena(1).size(), 2u);
+}
+
+TEST(Recorder, OneCallArenasAllocateOnlyTheirArray) {
+  // Every process of a one-shot run records one call: the arenas are one
+  // array and each keeps its first record inline.
+  const int n = 1024;
+  const std::uint64_t allocations = allocations_in([] {
+    HistoryRecorder<core::PairTimestamp> rec(n);
+    for (int p = 0; p < n; ++p) {
+      const auto s = static_cast<std::uint64_t>(p);
+      rec.arena(p).record({p, 0, {1, p}, 2 * s + 1, 2 * s + 2});
+    }
+    ASSERT_EQ(rec.size(), static_cast<std::size_t>(n));
+  });
+  EXPECT_LE(allocations, 1u);
 }
 
 TEST(NativeSystem, FewerThreadsThanProcesses) {
@@ -122,15 +139,10 @@ TEST(NativeSystem, FewerThreadsThanProcesses) {
   const int n = 8;
   const int calls = 5;
   HistoryRecorder<std::int64_t> rec(n);
-  std::vector<NativeSystem<std::int64_t>::Program> programs;
-  for (int p = 0; p < n; ++p) {
-    auto* arena = &rec.arena(p);
-    programs.push_back(
-        [p, n, calls, arena](atomicmem::DirectCtx<std::int64_t>& ctx) {
-          return maxscan_calls(ctx, p, n, calls, arena);
-        });
-  }
-  NativeSystem<std::int64_t> sys(n, 0, std::move(programs));
+  NativeSystem<std::int64_t> sys(
+      n, 0, n, [n, calls, &rec](Ctx& ctx, int p) {
+        return maxscan_calls(ctx, p, n, calls, &rec.arena(p));
+      });
   const auto stats = sys.run(3);
   EXPECT_EQ(stats.threads, 3);
   EXPECT_EQ(stats.calls, static_cast<std::uint64_t>(n) * calls);
@@ -254,11 +266,9 @@ TEST(NativeSystem, EverySamePidPairStaysOrdered) {
 TEST(NativeSystem, RateMathStaysFiniteOnDegenerateRuns) {
   // A one-program one-call run can finish inside a steady_clock tick;
   // elapsed_seconds is clamped so ops/sec never goes inf or garbage.
-  std::vector<NativeSystem<std::int64_t>::Program> programs;
-  programs.push_back([](atomicmem::DirectCtx<std::int64_t>& ctx) {
-    return maxscan_calls(ctx, 0, 1, 1, nullptr);
+  NativeSystem<std::int64_t> sys(1, 0, 1, [](Ctx& ctx, int p) {
+    return maxscan_calls(ctx, p, 1, 1, nullptr);
   });
-  NativeSystem<std::int64_t> sys(1, 0, std::move(programs));
   const auto stats = sys.run(1);
   EXPECT_GE(stats.elapsed_seconds, native::kMinElapsedSeconds);
   EXPECT_TRUE(std::isfinite(stats.ops_per_sec()));
@@ -280,15 +290,10 @@ TEST(NativeSystem, CallingThreadIsWorkerZero) {
   const int n = 3;
   const int calls = 2;
   std::vector<std::thread::id> ran_on(n);
-  std::vector<NativeSystem<std::int64_t>::Program> programs;
-  for (int p = 0; p < n; ++p) {
-    programs.push_back(
-        [p, n, calls, &ran_on](atomicmem::DirectCtx<std::int64_t>& ctx) {
-          ran_on[static_cast<std::size_t>(p)] = std::this_thread::get_id();
-          return maxscan_calls(ctx, p, n, calls, nullptr);
-        });
-  }
-  NativeSystem<std::int64_t> sys(n, 0, std::move(programs));
+  NativeSystem<std::int64_t> sys(n, 0, n, [n, calls, &ran_on](Ctx& ctx, int p) {
+    ran_on[static_cast<std::size_t>(p)] = std::this_thread::get_id();
+    return maxscan_calls(ctx, p, n, calls, nullptr);
+  });
   const auto stats = sys.run(1);
   EXPECT_EQ(stats.threads, 1);
   for (const std::thread::id id : ran_on) {
@@ -306,24 +311,37 @@ TEST(NativeSystem, ManyShortRunsAccountForEveryCall) {
   const int n = 16;
   for (int round = 0; round < 100; ++round) {
     HistoryRecorder<std::int64_t> rec(n);
-    std::vector<NativeSystem<std::int64_t>::Program> programs;
-    for (int p = 0; p < n; ++p) {
-      auto* arena = &rec.arena(p);
-      programs.push_back(
-          [p, n, arena](atomicmem::DirectCtx<std::int64_t>& ctx) {
-            return maxscan_calls(ctx, p, n, 1, arena);
-          });
-    }
-    NativeSystem<std::int64_t> sys(n, 0, std::move(programs));
+    NativeSystem<std::int64_t> sys(n, 0, n, [n, &rec](Ctx& ctx, int p) {
+      return maxscan_calls(ctx, p, n, 1, &rec.arena(p));
+    });
     const auto stats = sys.run(8);
     ASSERT_EQ(stats.calls, static_cast<std::uint64_t>(n)) << "round " << round;
     ASSERT_EQ(stats.per_thread_calls.size(), 8u);
     ASSERT_EQ(std::accumulate(stats.per_thread_calls.begin(),
                               stats.per_thread_calls.end(), std::uint64_t{0}),
               stats.calls);
-    ASSERT_EQ(rec.per_arena_counts(),
-              std::vector<std::uint64_t>(static_cast<std::size_t>(n), 1));
+    for (int p = 0; p < n; ++p) {
+      ASSERT_EQ(rec.arena(p).size(), 1u) << "round " << round << ", p" << p;
+    }
   }
+}
+
+TEST(NativeSystem, LongLivedCallsAllocateOnlyRecorderBlocks) {
+  // One process on the calling thread: after its first call, a call's getTS
+  // frame reuses the previous call's, so 2048 more calls allocate only the
+  // 8 more 256-record blocks that hold their records.
+  const auto run_allocations = [](int calls) {
+    return allocations_in([calls] {
+      api::EngineInstance<api::MaxscanEngine> inst(
+          {.n = 1, .calls_per_process = calls}, api::Backend::kNative);
+      ASSERT_EQ(inst.run_native(1).calls, static_cast<std::uint64_t>(calls));
+    });
+  };
+  (void)run_allocations(1);  // this thread's frame cache starts warm
+  const std::uint64_t shorter = run_allocations(2048);
+  const std::uint64_t blocks =
+      2048 / CallArena<std::int64_t>::kMaxBlockRecords;
+  EXPECT_LE(run_allocations(4096), shorter + blocks);
 }
 
 runtime::ProcessTask failing_program(atomicmem::DirectCtx<std::int64_t>& ctx) {
@@ -337,26 +355,18 @@ TEST(NativeSystem, ProgramExceptionPropagatesAfterEveryProgramFinishes) {
   const int n = 6;
   const int calls = 50;
   HistoryRecorder<std::int64_t> rec(n);
-  std::vector<NativeSystem<std::int64_t>::Program> programs;
-  for (int p = 0; p < n; ++p) {
-    auto* arena = &rec.arena(p);
-    programs.push_back(
-        [p, n, calls, arena](atomicmem::DirectCtx<std::int64_t>& ctx) {
-          return p == 2 ? failing_program(ctx)
-                        : maxscan_calls(ctx, p, n, calls, arena);
-        });
-  }
-  NativeSystem<std::int64_t> sys(n, 0, std::move(programs));
+  NativeSystem<std::int64_t> sys(n, 0, n, [n, calls, &rec](Ctx& ctx, int p) {
+    return p == 2 ? failing_program(ctx)
+                  : maxscan_calls(ctx, p, n, calls, &rec.arena(p));
+  });
   EXPECT_THROW((void)sys.run(3), std::runtime_error);
   EXPECT_EQ(rec.size(), static_cast<std::size_t>(n - 1) * calls);
 }
 
 TEST(NativeSystem, RunIsSingleUse) {
-  std::vector<NativeSystem<std::int64_t>::Program> programs;
-  programs.push_back([](atomicmem::DirectCtx<std::int64_t>& ctx) {
-    return maxscan_calls(ctx, 0, 1, 1, nullptr);
+  NativeSystem<std::int64_t> sys(1, 0, 1, [](Ctx& ctx, int p) {
+    return maxscan_calls(ctx, p, 1, 1, nullptr);
   });
-  NativeSystem<std::int64_t> sys(1, 0, std::move(programs));
   (void)sys.run(1);
   EXPECT_THROW((void)sys.run(1), stamped::invariant_error);
 }
@@ -392,11 +402,9 @@ TEST(NativeSystem, StackStaysFlatAcrossSubTasks) {
   // subtasks awaited: only a tail call would hide such growth, and an
   // unoptimized build makes none.
   FrameSpan span;
-  std::vector<NativeSystem<std::int64_t>::Program> programs;
-  programs.push_back([&span](atomicmem::DirectCtx<std::int64_t>& ctx) {
+  NativeSystem<std::int64_t> sys(1, 0, 1, [&span](Ctx& ctx, int) {
     return probed_reads(ctx, 20000, span);
   });
-  NativeSystem<std::int64_t> sys(1, 0, std::move(programs));
   (void)sys.run(1);
   ASSERT_LE(span.lo, span.hi);
   EXPECT_LT(span.hi - span.lo, std::uintptr_t{64} * 1024)

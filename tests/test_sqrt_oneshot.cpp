@@ -3,13 +3,12 @@
 // Section 7 growing variant.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
+#include <memory>
 #include <tuple>
 
 #include "api/engine_family.hpp"
 #include "api/engines.hpp"
+#include "api/registry.hpp"
 #include "core/growing_oneshot.hpp"
 #include "core/sqrt_oneshot.hpp"
 #include "runtime/scheduler.hpp"
@@ -17,47 +16,7 @@
 #include "verify/hb_checker.hpp"
 #include "verify/invariants.hpp"
 
-namespace {
-
-// Global allocations are counted while this is set (see allocations_in).
-std::atomic<bool> g_count_allocations{false};
-std::atomic<std::uint64_t> g_allocations{0};
-
-void* counted_malloc(std::size_t size) noexcept {
-  if (g_count_allocations.load(std::memory_order_relaxed)) {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-  }
-  return std::malloc(size == 0 ? 1 : size);
-}
-
-void* counted_new(std::size_t size) {
-  if (void* p = counted_malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-}  // namespace
-
-// This binary replaces the global allocation functions with counting ones.
-// Every form that allocates or frees with malloc is replaced, because a
-// sanitizer runtime defines each form itself and would otherwise see one
-// allocator's block freed by the other. The deletes stay out of line:
-// inlined, g++ would see free() meet operator new.
-void* operator new(std::size_t size) { return counted_new(size); }
-void* operator new[](std::size_t size) { return counted_new(size); }
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  return counted_malloc(size);
-}
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  return counted_malloc(size);
-}
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
-}
-[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
-  std::free(p);
-}
+#include "count_allocations.hpp"
 
 namespace {
 
@@ -65,16 +24,7 @@ using namespace stamped;
 using core::PairTimestamp;
 using Sqrt = api::EngineInstance<api::SqrtEngine>;
 using Growing = api::EngineInstance<api::GrowingEngine<>>;
-
-/// Global allocations made by `body()`.
-template <class Body>
-std::uint64_t allocations_in(Body&& body) {
-  const std::uint64_t before = g_allocations.load();
-  g_count_allocations.store(true);
-  body();
-  g_count_allocations.store(false);
-  return g_allocations.load() - before;
-}
+using stamped_test::allocations_in;
 
 // Out of line, so the compiler cannot pair a copy's allocation with its
 // release and elide both.
@@ -228,6 +178,22 @@ TEST(SqrtOneShot, RecordCopiesAllocateOnlyForLongSequences) {
   core::TsRecord long_copy;
   EXPECT_EQ(allocations_in([&] { long_copy = copy_of(two); }), 1u);
   EXPECT_EQ(long_copy, two);
+}
+
+TEST(SqrtOneShot, NativeBuildAllocatesNothingPerProcess) {
+  // A native instance holds one task maker and one array of recorder
+  // arenas, so building it for 4x the processes costs only the node of each
+  // extra register cell: 64 registers at n = 1024 against 32 at n = 256.
+  const api::TimestampFamily& fam = api::family("sqrt-oneshot");
+  const auto build_allocations = [&fam](int n) {
+    return allocations_in([&fam, n] { (void)fam.make_native({.n = n}); });
+  };
+  const std::uint64_t extra_cells =
+      static_cast<std::uint64_t>(core::sqrt_oneshot_registers(1024) -
+                                 core::sqrt_oneshot_registers(256));
+  ASSERT_EQ(extra_cells, 32u);
+  const std::uint64_t small = build_allocations(256);
+  EXPECT_LE(build_allocations(1024), small + extra_cells);
 }
 
 TEST(SqrtOneShot, AdversarialStallersStillCorrect) {
